@@ -41,6 +41,8 @@ a perf trajectory record (``benchmarks/append_trajectory.py`` folds
 the serve smokes' JSON reports into ``BENCH_serving.json``).
 """
 
+from dataclasses import replace
+
 from repro.experiments.common import paper_config
 from repro.experiments import autoscale_study
 from repro.compiler import CompilerOptions
@@ -48,10 +50,12 @@ from repro.ir import zoo
 from repro.pipeline import PipelineSession
 from repro.serving import (
     BatcherOptions,
+    ChaosScenario,
     ClosedLoopClientPool,
-    FailureScenario,
+    Kill,
     ShardPool,
     ShardServer,
+    WorkloadSpec,
     analytical_reference,
     make_requests,
 )
@@ -70,9 +74,11 @@ def _session():
 
 
 def _serve(pool, traffic, qps=None, policy="least-loaded", max_batch=6):
-    requests = make_requests(traffic, REQUESTS, qps=qps)
-    server = ShardServer(pool, policy, BatcherOptions(max_batch=max_batch))
-    return server.serve(requests)
+    return ShardServer(pool).run(WorkloadSpec(
+        traffic=make_requests(traffic, REQUESTS, qps=qps),
+        policy=policy,
+        batcher=BatcherOptions(max_batch=max_batch),
+    ))
 
 
 def test_serving_scales_and_matches_analytical(benchmark, once, capsys):
@@ -133,10 +139,13 @@ def test_closed_loop_saturates_open_loop_capacity(capsys):
 
     open_loop = _serve(pool, "uniform")
     clients = 2 * pool.total_instances  # one batch serving, one queued
-    closed = ShardServer(
-        pool, "least-loaded", BatcherOptions(max_batch=6)
-    ).serve(ClosedLoopClientPool(
-        clients=clients, requests=REQUESTS, think_time_s=0.0, seed=11,
+    closed = ShardServer(pool).run(WorkloadSpec(
+        traffic=ClosedLoopClientPool(
+            clients=clients, requests=REQUESTS, think_time_s=0.0,
+            seed=11,
+        ),
+        policy="least-loaded",
+        batcher=BatcherOptions(max_batch=6),
     ))
     ratio = closed.throughput_gops / open_loop.throughput_gops
 
@@ -155,22 +164,23 @@ def test_closed_loop_saturates_open_loop_capacity(capsys):
 def test_shard_failure_degrades_gracefully(capsys):
     session = _session()
     pool = ShardPool.replicate(session, 2)
-    server = ShardServer(pool, "least-loaded", BatcherOptions(max_batch=6))
+    server = ShardServer(pool)
+    spec = WorkloadSpec(
+        traffic=make_requests("uniform", REQUESTS),
+        policy="least-loaded",
+        batcher=BatcherOptions(max_batch=6),
+    )
 
-    baseline = server.serve(make_requests("uniform", REQUESTS))
-    dead = server.serve(
-        make_requests("uniform", REQUESTS),
-        scenario=FailureScenario.kill("shard0", at=0.0),
-    )
+    baseline = server.run(spec)
+    dead = server.run(replace(
+        spec, scenario=ChaosScenario([Kill("shard0", at=0.0)])
+    ))
     degradation = 1.0 - dead.throughput_gops / baseline.throughput_gops
-    restore = server.serve(
-        make_requests("uniform", REQUESTS),
-        scenario=FailureScenario.kill(
-            "shard0",
-            at=0.3 * baseline.makespan_seconds,
-            restore_at=0.7 * baseline.makespan_seconds,
-        ),
-    )
+    restore = server.run(replace(spec, scenario=ChaosScenario([Kill(
+        "shard0",
+        at=0.3 * baseline.makespan_seconds,
+        until=0.7 * baseline.makespan_seconds,
+    )])))
     stretch = restore.makespan_seconds / baseline.makespan_seconds
 
     with capsys.disabled():

@@ -25,6 +25,7 @@ analytical model almost entirely.
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 from pathlib import Path
 
@@ -721,51 +722,57 @@ def _cmd_emit_hls(args) -> int:
     return 0
 
 
-def _cmd_experiments(args) -> int:
-    from repro.experiments import (
-        ablation,
-        autoscale_study,
-        chaos_study,
-        estimation_error,
-        instruction_stats,
-        overhead,
-        planning_study,
-        roofline_study,
-        scalability,
-        scenario_study,
-        serving_study,
-        table3,
-        table4,
-        tenants_study,
-        vgg16_case,
-    )
-    from repro.experiments import figure6 as fig6
+def _study(module: str, seeded: bool = False):
+    """A ``repro experiments`` runner: ``repro.experiments.<module>``'s
+    ``main``, imported only when the study runs."""
 
-    registry = {
-        "table3": table3.main,
-        "table4": table4.main,
-        "figure6": lambda: (fig6.main("vu9p"), fig6.main("pynq-z1")),
-        "estimation-error": estimation_error.main,
-        "overhead": overhead.main,
-        "vgg16-case": vgg16_case.main,
-        "ablation": ablation.main,
-        "scalability": scalability.main,
-        "roofline": roofline_study.main,
-        "instruction-stats": instruction_stats.main,
-        "serving": lambda: serving_study.main(seed=args.seed),
-        "scenarios": lambda: scenario_study.main(seed=args.seed),
-        "autoscale": lambda: autoscale_study.main(seed=args.seed),
-        "chaos": lambda: chaos_study.main(seed=args.seed),
-        "plan": lambda: planning_study.main(seed=args.seed),
-        "tenants": lambda: tenants_study.main(
-            seed=args.seed, report_json=args.report_json
-        ),
-    }
-    if args.name not in registry:
+    def run(args):
+        main = importlib.import_module(f"repro.experiments.{module}").main
+        return main(seed=args.seed) if seeded else main()
+
+    return run
+
+
+def _figure6(args):
+    from repro.experiments import figure6
+
+    return figure6.main("vu9p"), figure6.main("pynq-z1")
+
+
+def _tenants(args):
+    from repro.experiments import tenants_study
+
+    return tenants_study.main(seed=args.seed, report_json=args.report_json)
+
+
+#: ``repro experiments <name>``: every registered study.  The help text
+#: and the unknown-name error are generated from these keys.
+EXPERIMENTS = {
+    "table3": _study("table3"),
+    "table4": _study("table4"),
+    "figure6": _figure6,
+    "estimation-error": _study("estimation_error"),
+    "overhead": _study("overhead"),
+    "vgg16-case": _study("vgg16_case"),
+    "ablation": _study("ablation"),
+    "scalability": _study("scalability"),
+    "roofline": _study("roofline_study"),
+    "instruction-stats": _study("instruction_stats"),
+    "serving": _study("serving_study", seeded=True),
+    "scenarios": _study("scenario_study", seeded=True),
+    "autoscale": _study("autoscale_study", seeded=True),
+    "chaos": _study("chaos_study", seeded=True),
+    "plan": _study("planning_study", seeded=True),
+    "tenants": _tenants,
+}
+
+
+def _cmd_experiments(args) -> int:
+    if args.name not in EXPERIMENTS:
         print(f"unknown experiment {args.name!r}; "
-              f"available: {sorted(registry)}", file=sys.stderr)
+              f"available: {sorted(EXPERIMENTS)}", file=sys.stderr)
         return 2
-    registry[args.name]()
+    EXPERIMENTS[args.name](args)
     return 0
 
 
@@ -1117,12 +1124,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_emit_hls)
 
     p = sub.add_parser("experiments", help="regenerate a paper artifact")
-    p.add_argument("name", help="table3|table4|figure6|estimation-error|"
-                                "overhead|vgg16-case|ablation|serving|"
-                                "scenarios|autoscale|chaos|tenants")
+    p.add_argument("name", help="|".join(EXPERIMENTS))
     p.add_argument("--seed", type=int, default=2020,
                    help="traffic seed for the serving/scenarios/"
-                        "autoscale/chaos/tenants studies")
+                        "autoscale/chaos/plan/tenants studies")
     p.add_argument("--report-json", default=None, metavar="PATH",
                    dest="report_json",
                    help="tenants study: also write the protected run's "

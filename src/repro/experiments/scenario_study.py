@@ -31,7 +31,8 @@ from repro.ir import zoo
 from repro.pipeline import EvaluationCache, PipelineSession
 from repro.serving import (
     BatcherOptions,
-    FailureScenario,
+    ChaosScenario,
+    Kill,
     ServingReport,
     ShardPool,
     ShardServer,
@@ -76,7 +77,7 @@ def _serve(
     qps: float,
     seed: int,
     count: int = REQUESTS,
-    scenario: Optional[FailureScenario] = None,
+    scenario: Optional[ChaosScenario] = None,
     slo: Optional[SloOptions] = None,
 ) -> ServingReport:
     requests = make_requests("poisson", count, qps=qps, seed=seed)
@@ -102,11 +103,11 @@ def run_failure_study(
     rows = []
     for policy in POLICIES:
         baseline = _serve(pool, policy, qps, seed)
-        scenario = FailureScenario.kill(
+        scenario = ChaosScenario([Kill(
             "shard0",
             at=KILL_FRACTION * baseline.makespan_seconds,
-            restore_at=RESTORE_FRACTION * baseline.makespan_seconds,
-        )
+            until=RESTORE_FRACTION * baseline.makespan_seconds,
+        )])
         failed = _serve(pool, policy, qps, seed, scenario=scenario)
         rows.append((policy, baseline, failed))
     return rows

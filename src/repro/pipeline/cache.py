@@ -23,7 +23,9 @@ Failures are memoized too: an infeasible combination raises an equal
 :class:`~repro.errors.ReproError` on every retry, so both levels store
 the original exception and re-raise a fresh copy (relabelled with the
 requesting layer's name on shape-deduplicated hits) instead of
-re-deriving it.
+re-deriving it.  The stored exception is itself a bare copy: the live
+one carries a traceback whose frames (a DSE run's ``PipelineSession``
+among them) the cache would otherwise keep alive for its lifetime.
 
 Cache hits whose stored entry came from a *different* layer name are
 counted separately (``shape_dedup_hits``) — they measure exactly the
@@ -90,6 +92,12 @@ def _relabel(error: ReproError, from_name: str, to_name: str) -> ReproError:
     if from_name != to_name:
         message = message.replace(from_name, to_name)
     return type(error)(message)
+
+
+def _detached(error: ReproError) -> ReproError:
+    """A copy of ``error`` with no traceback, cause or context to pin
+    the frames it was raised through — the form the memo stores."""
+    return type(error)(str(error))
 
 
 @dataclass(frozen=True)
@@ -209,7 +217,9 @@ class EvaluationCache:
         except ReproError as exc:
             with self._lock:
                 self._part_misses += 1
-                self._partitions[key] = (None, exc, info.layer.name)
+                self._partitions[key] = (
+                    None, _detached(exc), info.layer.name
+                )
                 self._dirty_partitions.add(key)
             raise
         with self._lock:
@@ -259,7 +269,9 @@ class EvaluationCache:
         except ReproError as exc:
             with self._lock:
                 self._misses += 1
-                self._estimates[key] = (None, exc, info.layer.name)
+                self._estimates[key] = (
+                    None, _detached(exc), info.layer.name
+                )
                 self._dirty_estimates.add(key)
                 self._error_entries += 1
             raise

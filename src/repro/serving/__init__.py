@@ -4,7 +4,7 @@ Turns the one-image-at-a-time runtime into a traffic-serving system
 built around a shared discrete-event kernel
 (:class:`~repro.serving.events.EventKernel`): event *sources* (open-
 loop traffic, replayed arrival traces, closed-loop client pools with
-think time, failure scenarios) feed typed events to *handlers* — the
+think time, chaos scenarios) feed typed events to *handlers* — the
 :class:`DynamicBatcher` coalescing requests under a batch/wait budget,
 the :class:`Scheduler` with pluggable policies and shard availability,
 an optional :class:`SloController` shedding or rerouting when the
@@ -59,10 +59,6 @@ from repro.serving.metrics import (
     ShardUsage,
     TenantBreakdown,
     percentile,
-)
-from repro.serving.scenarios import (
-    FailureScenario,
-    ScenarioStep,
 )
 from repro.serving.scheduler import (
     POLICIES,
@@ -135,7 +131,6 @@ __all__ = [
     "Event",
     "EventKernel",
     "EventSource",
-    "FailureScenario",
     "fastforward_serve",
     "FlashCrowd",
     "Flush",
@@ -162,7 +157,6 @@ __all__ = [
     "RoundRobin",
     "run_sweep",
     "ScaleEvent",
-    "ScenarioStep",
     "Scheduler",
     "SchedulingPolicy",
     "ServingReport",

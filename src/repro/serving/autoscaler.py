@@ -199,7 +199,7 @@ class AutoscalerOptions:
 class AutoscalerController:
     """PolicyTick-driven shard elasticity as kernel event handlers.
 
-    One controller drives one :meth:`ShardServer.serve` run: shards
+    One controller drives one :meth:`ShardServer.run` call: shards
     beyond ``min_shards`` start as *standby* (down, zero-billed), the
     windowed metric is re-evaluated on owned ticks, and decisions emit
     ``ShardUp``/``ShardDown`` against the pool.  State is

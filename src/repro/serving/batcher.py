@@ -97,91 +97,57 @@ class BatcherOptions:
             )
 
 
-class _BatcherFeed:
-    """Per-run batcher state: the queue and the wait-deadline wakeup.
-
-    Each scheduled :class:`Flush` carries a token; any flush (size or
-    wait) bumps the token, so a wakeup whose head has already left the
-    queue is recognised as stale and ignored.
-    """
-
-    def __init__(self, options: BatcherOptions, dispatch: DispatchFn):
-        self.options = options
-        self.dispatch = dispatch
-        #: (queued_at, request) — queued_at == arrival for first
-        #: deliveries, the re-queue instant for failure re-deliveries.
-        self.queue: Deque[Tuple[float, Request]] = deque()
-        self.token = 0
-
-    def on_arrival(self, kernel: EventKernel, event: Arrival) -> None:
-        self.queue.append((kernel.now, event.request))
-        if len(self.queue) >= self.options.max_batch:
-            self._flush(kernel)
-        elif len(self.queue) == 1:
-            self._schedule_wakeup(kernel)
-
-    def on_flush(self, kernel: EventKernel, event: Flush) -> None:
-        if event.token != self.token or not self.queue:
-            return  # stale wakeup: its head already flushed by size
-        self._flush(kernel)
-
-    def _flush(self, kernel: EventKernel) -> None:
-        batch: List[Request] = []
-        while (
-            self.queue
-            and len(batch) < self.options.max_batch
-            and self.queue[0][0] <= kernel.now
-        ):
-            batch.append(self.queue.popleft()[1])
-        self.token += 1  # any pending wakeup is now stale
-        if self.queue:
-            self._schedule_wakeup(kernel)
-        if batch:
-            self.dispatch(kernel, kernel.now, batch)
-
-    def _schedule_wakeup(self, kernel: EventKernel) -> None:
-        deadline = self.queue[0][0] + self.options.max_wait_s
-        kernel.push(Flush(time=deadline, token=self.token))
-
-
 class _TenantBatcherFeed:
-    """Per-run batcher state with one queue per batch tier plus an
-    optional admission gate.
+    """Per-run batcher state: one queue per key, its wait-deadline
+    wakeup, and an optional admission gate.
 
-    The per-queue flush logic is exactly :class:`_BatcherFeed`'s — size
-    trigger inline, wait trigger via a keyed :class:`Flush` wakeup whose
-    token invalidates stale firings — applied independently per tier,
-    so a bulk tenant's half-full batch never delays an interactive
-    request and tenants of incompatible tiers are never mixed.
-    Rejected (inadmissible) requests never enter any queue.
+    A queue's key is its batch tier, so a bulk tenant's half-full batch
+    never delays an interactive request and tenants of incompatible
+    tiers are never mixed.  A trivial tenant set (or ``tenant_mode=
+    "shared"``) is one queue under the empty key — the default
+    :class:`Flush` key — so untenanted runs keep the single-queue event
+    trace.  The key function is resolved once here, not per arrival.
+
+    Each queue flushes on the size trigger inline and on the wait
+    trigger via a keyed :class:`Flush` wakeup; any flush of a queue
+    bumps its token, so a wakeup whose head has already left is
+    recognised as stale and ignored.  Rejected (inadmissible) requests
+    never enter any queue.
     """
 
     def __init__(
         self,
         options: BatcherOptions,
         dispatch: DispatchFn,
-        tenants: TenantSet,
+        tenants: Optional[TenantSet] = None,
         admit: Optional[AdmitFn] = None,
     ):
         self.options = options
         self.dispatch = dispatch
-        self.tenants = tenants
         self.admit = admit
+        #: key -> (queued_at, request); queued_at == arrival for first
+        #: deliveries, the re-queue instant for failure re-deliveries.
         self.queues: Dict[str, Deque[Tuple[float, Request]]] = {}
         self.tokens: Dict[str, int] = {}
-
-    def _key(self, request: Request) -> str:
-        if self.options.tenant_mode == "shared":
-            return ""
-        return self.tenants.tier_of(request.tenant)
+        if (
+            tenants is None
+            or tenants.trivial
+            or options.tenant_mode == "shared"
+        ):
+            self.key_of: Callable[[Request], str] = lambda request: ""
+        else:
+            tier_of = tenants.tier_of
+            self.key_of = lambda request: tier_of(request.tenant)
 
     def on_arrival(self, kernel: EventKernel, event: Arrival) -> None:
         request = event.request
         if self.admit is not None and not self.admit(kernel, request):
             return  # rejected at admission; the gate did the accounting
-        key = self._key(request)
-        queue = self.queues.setdefault(key, deque())
-        self.tokens.setdefault(key, 0)
+        key = self.key_of(request)
+        queue = self.queues.get(key)
+        if queue is None:
+            queue = self.queues[key] = deque()
+            self.tokens[key] = 0
         queue.append((kernel.now, request))
         if len(queue) >= self.options.max_batch:
             self._flush(kernel, key)
@@ -235,24 +201,10 @@ class DynamicBatcher:
 
         Returns the per-run feed (fresh state — one ``attach`` per
         run); ``dispatch`` is called with every flushed batch.  A
-        non-trivial ``tenants`` set (in ``tier`` mode) or an ``admit``
-        gate selects the tenant-aware feed; otherwise the single-queue
-        feed keeps the pre-tenancy event trace byte for byte.
+        non-trivial ``tenants`` set in ``tier`` mode batches per tier;
+        ``admit`` gates every arrival before it is queued.
         """
-        tiered = (
-            tenants is not None
-            and not tenants.trivial
-            and self.options.tenant_mode == "tier"
-        )
-        if tiered or admit is not None:
-            feed = _TenantBatcherFeed(
-                self.options,
-                dispatch,
-                tenants or TenantSet.default(),
-                admit,
-            )
-        else:
-            feed = _BatcherFeed(self.options, dispatch)
+        feed = _TenantBatcherFeed(self.options, dispatch, tenants, admit)
         kernel.subscribe(Arrival, feed.on_arrival)
         kernel.subscribe(Flush, feed.on_flush)
         return feed

@@ -186,8 +186,8 @@ class Flush(Event):
     queue head it was scheduled for has already flushed.
 
     ``key`` routes the wakeup to one queue of a tenant-aware batcher
-    (queues are keyed by batch tier); the single-queue batcher keeps
-    the default empty key, so legacy event traces are unchanged.
+    (queues are keyed by batch tier); an untenanted run's single queue
+    keeps the default empty key.
     """
 
     token: int = 0

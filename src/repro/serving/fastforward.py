@@ -18,7 +18,7 @@ module computes it batch-granularly:
   request arrives — otherwise the wait trigger fires at the deadline
   with everything queued by then.  Either way the queue empties, so
   the next head is just the batch end: the scan replays
-  :class:`~repro.serving.batcher._BatcherFeed`'s token semantics
+  :class:`~repro.serving.batcher._TenantBatcherFeed`'s token semantics
   flush for flush in O(#batches) after one vectorized searchsorted;
 * **shard assignment** is a per-*batch* recurrence (``~max_batch``
   times fewer iterations than kernel events): round-robin is modular
@@ -83,7 +83,7 @@ def ineligible_reason(server, source, scenario) -> Optional[str]:
     silently-wrong fast path is worse than no fast path.
     """
     if scenario is not None:
-        return "a failure/chaos scenario perturbs the pool mid-stream"
+        return "a chaos scenario perturbs the pool mid-stream"
     if server.slo is not None:
         return "an SLO controller sheds/reroutes based on observed state"
     if server.autoscale is not None:
@@ -207,7 +207,7 @@ def fastforward_serve(
 ) -> ServingReport:
     """Replay ``source`` over ``server``'s pool without the kernel.
 
-    The caller (:meth:`~repro.serving.server.ShardServer.serve`) has
+    The caller (:meth:`~repro.serving.server.ShardServer.run`) has
     already checked :func:`ineligible_reason`; this function mirrors
     the kernel path's observable effects — the report byte for byte
     (wall-clock fields aside) and the post-run pool/policy state

@@ -185,7 +185,7 @@ class ShardUsage:
 
 @dataclass(frozen=True)
 class ServingReport:
-    """Everything one :meth:`ShardServer.serve` run measured.
+    """Everything one :meth:`ShardServer.run` measured.
 
     ``shed`` counts requests the SLO controller dropped, ``rerouted``
     counts requests it steered away from the policy's pick (both zero
@@ -553,9 +553,9 @@ class ServingReport:
         ]
         if self.wall_seconds > 0.0:
             lines.append(
-                f"  kernel: {self.events_processed} events in "
-                f"{self.wall_seconds:.3f} s host time "
-                f"({self.events_per_second / 1e6:.2f} M events/s)"
+                f"  host time: {self.events_processed} events in "
+                f"{self.wall_seconds:.3f} s "
+                f"({self.events_per_second / 1e6:.3g} M events/s)"
             )
         # Surface the exceptional counters only when nonzero: a healthy
         # run's report should not advertise the machinery that never

@@ -1,12 +1,11 @@
-"""The redesigned serve API: one eagerly-validated workload spec.
+"""The serve API: one eagerly-validated workload spec.
 
-Nine constructor/call knobs accreted on :class:`ShardServer` across
-PRs 3–9 (policy, batcher, SLO, autoscaler, scenario, engine, budget,
-...), and tenancy would have made the sprawl worse.  A
-:class:`WorkloadSpec` gathers everything one serve run needs into a
-single frozen dataclass, validated *eagerly* at construction (like
-``DseOptions``) so a bad combination fails where it was written, not
-deep inside an event handler:
+A :class:`WorkloadSpec` gathers everything one serve run needs —
+traffic, policy, batcher, tenants, SLO, autoscaler, chaos scenario,
+engine and event budget — into a single frozen dataclass, validated
+*eagerly* at construction (like ``DseOptions``) so a bad combination
+fails where it was written, not deep inside an event handler.
+``ShardServer(pool).run(spec)`` is the one way to serve it:
 
 >>> spec = WorkloadSpec(
 ...     traffic=make_requests("poisson", 256, qps=800.0),
@@ -16,12 +15,9 @@ deep inside an event handler:
 ...         TenantSpec("bulk", weight=1.0, tier="batch"),
 ...     ]),
 ...     batcher=BatcherOptions(max_batch=8),
+...     scenario=parse_scenario("kill:shard0@0.05..0.12"),
 ... )
 >>> report = ShardServer(pool).run(spec)
-
-``ShardServer.serve(...)`` survives as a thin shim that builds a spec
-from its kwargs, and the deprecated knob-per-argument constructor
-builds one too — both stay event-identical to the old API.
 """
 
 from __future__ import annotations
@@ -32,6 +28,7 @@ from typing import Optional, Sequence, Union
 from repro.errors import ServingError
 from repro.serving.autoscaler import AutoscalerOptions
 from repro.serving.batcher import BatcherOptions
+from repro.serving.chaos import ChaosScenario
 from repro.serving.events import EventSource
 from repro.serving.scheduler import POLICIES, SchedulingPolicy
 from repro.serving.slo import SloOptions
@@ -51,15 +48,16 @@ class WorkloadSpec:
 
     ``traffic`` is a request list (open loop) or exactly one
     :class:`~repro.serving.events.EventSource`; it may be ``None`` in a
-    *template* spec held by a server and filled in per run with
-    :func:`dataclasses.replace`.  ``tenants`` may be a
+    *template* spec filled in per run with :meth:`with_traffic`.
+    ``tenants`` may be a
     :class:`~repro.serving.tenancy.TenantSet` or a plain sequence of
     :class:`~repro.serving.tenancy.TenantSpec` (normalised to a set);
     ``None`` means the trivial single-tenant workload.  ``scenario``
-    and ``autoscale`` are mutually exclusive, exactly as on the CLI —
-    a scenario kills specific shards while the autoscaler owns the
-    pool membership, and the two fighting over it has no defined
-    semantics.
+    is a :class:`~repro.serving.chaos.ChaosScenario` (build one with
+    :func:`~repro.serving.chaos.parse_scenario`); it and ``autoscale``
+    are mutually exclusive, exactly as on the CLI — a scenario kills
+    specific shards while the autoscaler owns the pool membership, and
+    the two fighting over it has no defined semantics.
     """
 
     traffic: Optional[Union[Sequence[Request], EventSource]] = None
@@ -68,7 +66,7 @@ class WorkloadSpec:
     tenants: Optional[TenantSet] = None
     slo: Optional[SloOptions] = None
     autoscale: Optional[AutoscalerOptions] = None
-    scenario: Optional[object] = None
+    scenario: Optional[ChaosScenario] = None
     engine: str = "auto"
     max_events: Optional[int] = None
 
@@ -102,9 +100,16 @@ class WorkloadSpec:
                 f"autoscale must be AutoscalerOptions, "
                 f"got {type(self.autoscale).__name__}"
             )
+        if self.scenario is not None and not isinstance(
+            self.scenario, ChaosScenario
+        ):
+            raise ServingError(
+                f"scenario must be a ChaosScenario (parse a spec string "
+                f"with parse_scenario), got {type(self.scenario).__name__}"
+            )
         if self.scenario is not None and self.autoscale is not None:
             raise ServingError(
-                "a workload cannot combine a failure scenario with an "
+                "a workload cannot combine a chaos scenario with an "
                 "autoscaler: the scenario kills specific shards while "
                 "the autoscaler owns the pool membership"
             )

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import EXPERIMENTS, build_parser, main
 
 
 class TestParser:
@@ -84,6 +84,20 @@ class TestCommands:
     def test_experiments_unknown(self, capsys):
         assert main(["experiments", "tableX"]) == 2
 
+    def test_experiments_help_lists_every_study(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "1000")  # keep the list on one line
+        with pytest.raises(SystemExit):
+            main(["experiments", "--help"])
+        out = capsys.readouterr().out
+        listed = next(
+            token for token in out.split() if token.startswith("table3|")
+        )
+        assert listed.split("|") == list(EXPERIMENTS)
+        # The studies the hand-written list used to leave out.
+        assert {"scalability", "roofline", "instruction-stats", "plan"} <= (
+            set(EXPERIMENTS)
+        )
+
     def test_experiments_table3(self, capsys):
         assert main(["experiments", "table3"]) == 0
         assert "Table 3" in capsys.readouterr().out
@@ -118,9 +132,9 @@ class TestCommands:
 
     def test_serve_seed_reproduces_poisson_runs(self, capsys):
         def virtual(out):
-            # The "kernel: ... host time ... events/s" line measures
-            # the host, not the modeled system — everything else must
-            # be seed-deterministic.
+            # The "host time: ... events/s" line measures the host,
+            # not the modeled system — everything else must be
+            # seed-deterministic.
             return "\n".join(
                 line for line in out.splitlines()
                 if "host time" not in line

@@ -1,6 +1,9 @@
 """Tests for repro.pipeline — evaluation cache, pruned/parallel DSE
 equivalence, and the PipelineSession facade."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.dse import latency_lower_bound, map_network, objective_lower_bound, run_dse
@@ -458,6 +461,19 @@ class TestPipelineSession:
         # Second session repeats the same lookups, all hits.
         assert stats.lookups == 2 * lookups_after_first
         assert stats.misses < lookups_after_first
+
+    def test_memoized_errors_do_not_pin_dropped_sessions(self, pynq):
+        """A shared cache outlives the sessions that filled it: the
+        errors it memoizes must not keep a dropped session (and its
+        parameters) alive through their tracebacks."""
+        cache = EvaluationCache()
+        session = PipelineSession(zoo.alexnet(), pynq, cache=cache)
+        session.dse()
+        assert cache.stats.error_entries > 0
+        dropped = weakref.ref(session)
+        del session
+        gc.collect()
+        assert dropped() is None
 
 
 def _timing_compiler_options():

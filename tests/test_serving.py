@@ -10,10 +10,13 @@ from repro.ir import zoo
 from repro.pipeline import PipelineSession
 from repro.serving import (
     BatcherOptions,
+    ChaosScenario,
     DynamicBatcher,
+    Kill,
     Request,
     ShardPool,
     ShardServer,
+    WorkloadSpec,
     analytical_reference,
     make_requests,
     percentile,
@@ -39,6 +42,14 @@ def make_session(instances=1, frequency=100.0):
         device,
         cfg=cfg,
         compiler_options=CompilerOptions(quantize=False, pack_data=False),
+    )
+
+
+def spec(traffic, policy="round-robin", max_batch=None, **fields):
+    """A workload spec for ``traffic`` with a ``max_batch`` batcher."""
+    batcher = None if max_batch is None else BatcherOptions(max_batch)
+    return WorkloadSpec(
+        traffic=traffic, policy=policy, batcher=batcher, **fields
     )
 
 
@@ -196,9 +207,9 @@ class TestScheduler:
         # 10 single-request batches over 3 shards: 4/3/3, and the
         # makespan is the most-loaded shard's chain.
         pool = ShardPool.replicate(make_session(), 3)
-        server = ShardServer(pool, "round-robin",
-                             BatcherOptions(max_batch=1))
-        report = server.serve(make_requests("uniform", 10))
+        report = ShardServer(pool).run(
+            spec(make_requests("uniform", 10), max_batch=1)
+        )
         counts = [usage.requests for usage in report.shards]
         assert counts == [4, 3, 3]
         per_image = pool.shards[0].probe_seconds()
@@ -207,9 +218,9 @@ class TestScheduler:
     def test_single_shard_degenerate_case(self):
         # One shard serves everything and matches BatchRunner exactly.
         pool = ShardPool.replicate(make_session(instances=2), 1)
-        server = ShardServer(pool, "least-loaded",
-                             BatcherOptions(max_batch=8))
-        report = server.serve(make_requests("uniform", 8))
+        report = ShardServer(pool).run(
+            spec(make_requests("uniform", 8), "least-loaded", max_batch=8)
+        )
         assert report.per_shard()["shard0"].requests == 8
         assert report.makespan_seconds == pytest.approx(
             analytical_reference(pool, 8)
@@ -227,13 +238,11 @@ class TestScheduler:
         session = make_session(instances=2)
         requests = make_requests("uniform", 30)
         pool_a = ShardPool.replicate(session, 2)
-        baseline = ShardServer(
-            pool_a, "round-robin", BatcherOptions(max_batch=1)
-        ).serve(requests)
+        baseline = ShardServer(pool_a).run(spec(requests, max_batch=1))
         pool_b = ShardPool.replicate(session.clone(), 2)
-        other = ShardServer(
-            pool_b, policy, BatcherOptions(max_batch=1)
-        ).serve(requests)
+        other = ShardServer(pool_b).run(
+            spec(requests, policy, max_batch=1)
+        )
         assert other.records == baseline.records
 
     def test_shortest_latency_prefers_faster_shard(self):
@@ -243,9 +252,11 @@ class TestScheduler:
         slow = make_session(frequency=25.0)
         pool = ShardPool.of(fast, slow, names=("fast", "slow"))
         qps = 2.0 * pool.capacity_images_per_second()
-        report = ShardServer(
-            pool, "shortest-latency", BatcherOptions(max_batch=1)
-        ).serve(make_requests("poisson", 40, qps=qps, seed=5))
+        report = ShardServer(pool).run(spec(
+            make_requests("poisson", 40, qps=qps, seed=5),
+            "shortest-latency",
+            max_batch=1,
+        ))
         shares = report.per_shard()
         assert shares["fast"].requests > 2 * shares["slow"].requests
 
@@ -253,10 +264,10 @@ class TestScheduler:
         # A pre-loaded shard receives nothing until its backlog drains.
         pool = ShardPool.replicate(make_session(), 2)
         pool.shards[0].busy_until = 1e9
-        report = ShardServer(
-            pool, "least-loaded", BatcherOptions(max_batch=1)
-        ).serve(make_requests("uniform", 4))
-        # serve() resets timelines -- reload and drive the scheduler
+        report = ShardServer(pool).run(
+            spec(make_requests("uniform", 4), "least-loaded", max_batch=1)
+        )
+        # run() resets timelines -- reload and drive the scheduler
         # directly instead.
         scheduler = Scheduler(pool.shards, "least-loaded")
         pool.shards[0].busy_until = 1e9
@@ -272,9 +283,9 @@ class TestShardServer:
         # The acceptance criterion: uniform traffic through the full
         # batcher/scheduler stack reproduces the analytical makespan.
         pool = ShardPool.replicate(make_session(instances=2), 2)
-        server = ShardServer(pool, "least-loaded",
-                             BatcherOptions(max_batch=4))
-        report = server.serve(make_requests("uniform", 32))
+        report = ShardServer(pool).run(
+            spec(make_requests("uniform", 32), "least-loaded", max_batch=4)
+        )
         reference = analytical_reference(pool, 32)
         assert abs(report.makespan_seconds - reference) / reference < 0.01
         assert report.throughput_gops == pytest.approx(
@@ -283,21 +294,22 @@ class TestShardServer:
 
     def test_serve_is_repeatable(self):
         pool = ShardPool.replicate(make_session(), 2)
-        server = ShardServer(pool, "round-robin",
-                             BatcherOptions(max_batch=2))
+        server = ShardServer(pool)
         # 13 requests / max_batch 2 = 7 batches — an odd count, so a
         # round-robin rotation surviving across runs would flip every
         # assignment of the second run.
-        requests = make_requests("fixed-qps", 13, qps=1000.0)
-        first = server.serve(requests)
-        second = server.serve(requests)
+        workload = spec(
+            make_requests("fixed-qps", 13, qps=1000.0), max_batch=2
+        )
+        first = server.run(workload)
+        second = server.run(workload)
         assert first.records == second.records
         assert first.shards == second.shards
 
     def test_records_sorted_and_complete(self):
         pool = ShardPool.replicate(make_session(), 2)
-        report = ShardServer(pool, "round-robin").serve(
-            make_requests("poisson", 17, qps=500.0)
+        report = ShardServer(pool).run(
+            spec(make_requests("poisson", 17, qps=500.0))
         )
         assert [r.index for r in report.records] == list(range(17))
         for record in report.records:
@@ -307,20 +319,18 @@ class TestShardServer:
     def test_empty_stream_rejected(self):
         pool = ShardPool.replicate(make_session(), 1)
         with pytest.raises(ServingError):
-            ShardServer(pool).serve([])
+            ShardServer(pool).run(WorkloadSpec(traffic=[]))
 
     def test_batching_unlocks_instance_parallelism(self):
         # Batches of NI images keep all instances busy; singles leave
         # NI-1 idle -- the dynamic batcher's reason to exist.
         session = make_session(instances=4)
-        batched = ShardServer(
-            ShardPool.replicate(session, 1),
-            "round-robin", BatcherOptions(max_batch=4),
-        ).serve(make_requests("uniform", 16))
-        singles = ShardServer(
-            ShardPool.replicate(session.clone(), 1),
-            "round-robin", BatcherOptions(max_batch=1),
-        ).serve(make_requests("uniform", 16))
+        batched = ShardServer(ShardPool.replicate(session, 1)).run(
+            spec(make_requests("uniform", 16), max_batch=4)
+        )
+        singles = ShardServer(ShardPool.replicate(session.clone(), 1)).run(
+            spec(make_requests("uniform", 16), max_batch=1)
+        )
         assert batched.makespan_seconds < singles.makespan_seconds / 3
 
 
@@ -329,40 +339,39 @@ class TestShardServer:
 
 class TestServeIndependence:
     def test_back_to_back_serves_reset_pool_and_policy_state(self):
-        """A serve() after a different workload matches a fresh server
+        """A run() after a different workload matches a fresh server
         bit for bit: no timeline, counter or rotation state leaks."""
         session = make_session(instances=2)
         pool = ShardPool.replicate(session, 2)
-        server = ShardServer(pool, "round-robin",
-                             BatcherOptions(max_batch=2))
+        server = ShardServer(pool)
         # An odd batch count, so a leaked rotation would flip every
         # assignment of the next run; uniform-after-poisson would also
         # expose leaked busy_until timelines.
-        server.serve(make_requests("poisson", 13, qps=500.0, seed=3))
-        second = server.serve(make_requests("uniform", 12))
+        server.run(spec(
+            make_requests("poisson", 13, qps=500.0, seed=3), max_batch=2
+        ))
+        second = server.run(spec(make_requests("uniform", 12), max_batch=2))
         fresh_pool = ShardPool.replicate(session.clone(), 2)
-        fresh = ShardServer(
-            fresh_pool, "round-robin", BatcherOptions(max_batch=2)
-        ).serve(make_requests("uniform", 12))
+        fresh = ShardServer(fresh_pool).run(
+            spec(make_requests("uniform", 12), max_batch=2)
+        )
         assert second.records == fresh.records
         assert second.shards == fresh.shards
         assert second.total_ops == fresh.total_ops
 
     def test_serve_resets_scenario_damage(self):
         """A failed shard from a scenario run is back for the next
-        serve() — pool.reset() restores availability."""
-        from repro.serving import FailureScenario
-
+        run() — pool.reset() restores availability."""
         pool = ShardPool.replicate(make_session(), 2)
-        server = ShardServer(pool, "least-loaded",
-                             BatcherOptions(max_batch=1))
+        server = ShardServer(pool)
         requests = make_requests("uniform", 8)
-        baseline = server.serve(requests)
-        killed = server.serve(
-            requests, scenario=FailureScenario.kill("shard0", at=0.0)
-        )
+        baseline = server.run(spec(requests, "least-loaded", max_batch=1))
+        killed = server.run(spec(
+            requests, "least-loaded", max_batch=1,
+            scenario=ChaosScenario([Kill("shard0", at=0.0)]),
+        ))
         assert killed.per_shard()["shard0"].requests == 0
-        again = server.serve(requests)
+        again = server.run(spec(requests, "least-loaded", max_batch=1))
         assert again.records == baseline.records
         assert again.per_shard()["shard0"].requests > 0
 
@@ -375,9 +384,9 @@ class TestHeterogeneousPools:
         assert [shard.name for shard in pool] == ["cloud", "edge"]
         assert pool.total_instances == 3
         assert "cloud" in pool.describe() and "edge" in pool.describe()
-        report = ShardServer(
-            pool, "shortest-latency", BatcherOptions(max_batch=2)
-        ).serve(make_requests("uniform", 18))
+        report = ShardServer(pool).run(spec(
+            make_requests("uniform", 18), "shortest-latency", max_batch=2
+        ))
         assert report.count == 18
         assert set(report.per_shard()) == {"cloud", "edge"}
         # Both shards contribute, the fast one more.
@@ -412,9 +421,9 @@ class TestMetrics:
 
     def test_report_latency_includes_queueing(self):
         pool = ShardPool.replicate(make_session(), 1)
-        report = ShardServer(
-            pool, "round-robin", BatcherOptions(max_batch=1)
-        ).serve(make_requests("uniform", 3))
+        report = ShardServer(pool).run(
+            spec(make_requests("uniform", 3), max_batch=1)
+        )
         per_image = pool.shards[0].probe_seconds()
         # Requests run back to back on one instance: latencies are
         # 1x, 2x, 3x the per-image time.

@@ -1,12 +1,11 @@
 """Tests for repro.serving.chaos — the scenario algebra.
 
-The oracle tests pin the contract the whole module hangs on: a legacy
-kill/restore spec compiled through the algebra is *event-identical* to
-the old ``FailureScenario`` path, so every scheduler/SLO/autoscaler
-behaviour already proven against the old scenarios carries over.  The
-property tests then cover the new surface: any valid program compiles
-to a nondecreasing, well-nested event sequence, and seeded runs are
-bit-reproducible.
+The oracle tests pin the contract the kill/restore grammar hangs on:
+each spec compiles to exactly the down/up events its steps name, and
+serving it is identical to serving the same scenario built from
+:class:`Kill`/:class:`Restore` ops.  The property tests then cover the
+rest of the algebra: any valid program compiles to a nondecreasing,
+well-nested event sequence, and seeded runs are bit-reproducible.
 """
 
 import math
@@ -26,7 +25,6 @@ from repro.serving import (
     ChaosScenario,
     Degrade,
     Diurnal,
-    FailureScenario,
     FlashCrowd,
     Kill,
     Outage,
@@ -38,6 +36,7 @@ from repro.serving import (
     ShardUp,
     ShardServer,
     Stragglers,
+    WorkloadSpec,
     make_requests,
     parse_scenario,
     parse_shape,
@@ -67,9 +66,12 @@ def pool():
 
 def serve(pool, traffic, scenario=None, policy="round-robin",
           max_batch=4):
-    server = ShardServer(pool, policy,
-                         BatcherOptions(max_batch=max_batch))
-    return server.serve(traffic, scenario=scenario)
+    return ShardServer(pool).run(WorkloadSpec(
+        traffic=traffic,
+        policy=policy,
+        batcher=BatcherOptions(max_batch=max_batch),
+        scenario=scenario,
+    ))
 
 
 # -- ops -------------------------------------------------------------------
@@ -247,7 +249,7 @@ class TestChaosCompile:
         ]
 
 
-# -- oracle: legacy scenarios are event-identical --------------------------
+# -- oracle: kill/restore specs compile to their steps ---------------------
 
 
 class TestOracle:
@@ -256,30 +258,57 @@ class TestOracle:
         "kill:shard0@0.002",
         "kill:shard0@0.001, kill:shard1@0.003, restore:shard0@0.005",
     ]
+    #: Per spec: the (event, shard, time) sequence it must compile to,
+    #: and the same scenario spelled as Kill/Restore ops.
+    EXPECTED = {
+        SPECS[0]: (
+            [("ShardDown", "shard0", 0.002), ("ShardUp", "shard0", 0.01)],
+            [Kill("shard0", 0.002, until=0.01)],
+        ),
+        SPECS[1]: (
+            [("ShardDown", "shard0", 0.002)],
+            [Kill("shard0", 0.002)],
+        ),
+        SPECS[2]: (
+            [
+                ("ShardDown", "shard0", 0.001),
+                ("ShardDown", "shard1", 0.003),
+                ("ShardUp", "shard0", 0.005),
+            ],
+            [
+                Kill("shard0", 0.001),
+                Kill("shard1", 0.003),
+                Restore("shard0", 0.005),
+            ],
+        ),
+    }
 
     @pytest.mark.parametrize("spec", SPECS)
     def test_compiled_events_match_legacy_steps(self, spec):
-        legacy = FailureScenario.parse(spec)
-        events = ChaosScenario.from_failure(legacy).compile()
+        events = parse_scenario(spec).compile()
         assert [
             (type(e).__name__, e.shard, e.time) for e in events
-        ] == [
-            ("ShardDown" if s.kind == "kill" else "ShardUp", s.shard, s.at)
-            for s in sorted(legacy.steps,
-                            key=lambda s: (s.at, s.kind != "kill"))
-        ]
+        ] == self.EXPECTED[spec][0]
 
     @pytest.mark.parametrize("spec", SPECS)
     def test_serve_reports_identical(self, pool, spec):
         traffic = make_requests("poisson", 32, qps=4000.0, seed=11)
-        old = serve(pool, traffic, FailureScenario.parse(spec))
-        new = serve(pool, traffic, parse_scenario(spec))
-        assert old == new
+        parsed = serve(pool, traffic, parse_scenario(spec))
+        built = serve(pool, traffic, ChaosScenario(self.EXPECTED[spec][1]))
+        assert parsed == built
+        # Every issued request is accounted for, and the killed shard
+        # served nothing while it was down.
+        assert parsed.count + parsed.unserved == 32
+        for shard, down, up in parse_scenario(spec).spans():
+            assert not any(
+                down < record.started < up
+                for record in parsed.records if record.shard == shard
+            )
         drop = ("wall_seconds", "events_per_second",
                 "replay_requests_per_second")
         assert (
-            {k: v for k, v in old.to_dict().items() if k not in drop}
-            == {k: v for k, v in new.to_dict().items() if k not in drop}
+            {k: v for k, v in parsed.to_dict().items() if k not in drop}
+            == {k: v for k, v in built.to_dict().items() if k not in drop}
         )
 
 
