@@ -30,7 +30,7 @@ import numpy as np
 from repro.errors import CompileError
 from repro.arch import layouts
 from repro.arch.params import AcceleratorConfig
-from repro.ir.graph import Network
+from repro.ir.graph import Network, kernel_shape
 from repro.ir.layers import (
     AvgPool2D,
     Conv2D,
@@ -57,7 +57,12 @@ from repro.mapping.partition import (
     row_groups,
 )
 from repro.mapping.strategy import NetworkMapping
-from repro.compiler.data import PackedWeights, pack_bias, pack_weights
+from repro.compiler.data import (
+    PackedWeights,
+    pack_bias,
+    pack_weights,
+    weight_directory,
+)
 
 
 @dataclass(frozen=True)
@@ -106,8 +111,12 @@ class CompilerOptions:
     functional-equivalence tests so the accelerator output can be
     compared bit-for-bit against the float reference.
 
-    ``pack_data=False`` skips materialising weight images (group
-    directories are still computed); only valid for timing-only runs.
+    ``pack_data=False`` is the timing-only compile: it reads no
+    parameter values at all — weight group directories come from layer
+    geometry (:func:`~repro.ir.graph.kernel_shape`), images stay empty
+    and biases pack as zeros.  The instruction stream is identical to
+    the packed compile's; only the data files are missing, so it is
+    only valid for timing-only runs.
     """
 
     quantize: bool = True
@@ -526,7 +535,8 @@ def compile_network(
 
     ``params`` maps layer name -> ``{"weights": (K,C,R,S) or (M,N),
     "bias": (K,)}`` arrays (see :mod:`repro.runtime.params` for the
-    seeded synthetic generator).
+    seeded synthetic generator).  With ``options.pack_data=False`` it
+    is never read.
     """
     options = options or CompilerOptions()
     mapping.validate_against(network)
@@ -592,23 +602,22 @@ def compile_network(
             )
             partitions[layer.name] = partition
 
-            layer_params = params.get(layer.name, {})
-            kernels = layer_params.get("weights")
-            if kernels is None:
-                raise CompileError(f"missing weights for {layer.name!r}")
-            kernels = np.asarray(kernels, dtype=np.float64)
-            if isinstance(layer, Dense):
-                kernels = kernels.reshape(
-                    layer.out_features, info.input_shape.size, 1, 1
-                )
-            packed = pack_weights(
-                cfg, partition, kernels, weight_type,
-                data=options.pack_data,
-            )
+            shape = kernel_shape(info)
+            if options.pack_data:
+                layer_params = params.get(layer.name, {})
+                kernels = layer_params.get("weights")
+                if kernels is None:
+                    raise CompileError(f"missing weights for {layer.name!r}")
+                kernels = np.asarray(kernels, dtype=np.float64)
+                if isinstance(layer, Dense):
+                    kernels = kernels.reshape(shape)
+                packed = pack_weights(cfg, partition, kernels, weight_type)
+                bias = layer_params.get("bias")
+            else:
+                packed = weight_directory(cfg, partition, shape)
+                bias = None
             weights[layer.name] = packed
-            biases[layer.name] = pack_bias(
-                partition, layer_params.get("bias")
-            )
+            biases[layer.name] = pack_bias(partition, bias)
 
             dst_layout = _consumer_layout(
                 network, pool_info.index if pool > 1 else index, mapping

@@ -10,7 +10,7 @@ DNN parameters to 8 bits, Table 4 footnote).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -41,8 +41,9 @@ class WeightGroupSlot:
 class PackedWeights:
     """One layer's weight image plus its group directory.
 
-    ``image`` may be empty when packed with ``data=False``;
-    ``total_elems`` always reflects the full image size.
+    ``image`` is empty for a bare :func:`weight_directory` (the
+    timing-only compile); ``total_elems`` always reflects the full
+    image size.
 
     ``scales`` (Winograd + quantised only) holds one power-of-two
     factor per (decomposition block, tile row, tile col): transformed
@@ -92,27 +93,21 @@ def _scale_per_position(
     return stacked / scales[:, None, None], scales
 
 
-def pack_weights(
+def weight_directory(
     cfg: AcceleratorConfig,
     partition: LayerPartition,
-    kernels: np.ndarray,
-    weight_type: Optional[DataType],
-    data: bool = True,
+    shape: Tuple[int, int, int, int],
 ) -> PackedWeights:
-    """Pack (and, for Winograd, transform) one layer's kernels.
+    """The group directory of one layer's weight image, without data.
 
-    ``kernels`` has shape ``(K, C, R, S)`` (Dense layers pass their
-    ``(K, C, 1, 1)`` view).  ``weight_type=None`` packs exact float64
-    values (used by functional equivalence tests).  ``data=False``
-    computes only the group directory (offsets/sizes) without
-    materialising the image — enough for timing-only simulation of
-    large sweeps.
+    ``shape`` is the ``(K, C, R, S)`` kernel shape (see
+    :func:`~repro.ir.graph.kernel_shape`); offsets and sizes depend on
+    nothing else, so timing-only compiles read no parameter values.
     """
-    kernels = np.asarray(kernels, dtype=np.float64)
-    k, c, r, s = kernels.shape
+    k, c, r, s = shape
     if (k, c) != (partition.out_channels, partition.channels):
         raise CompileError(
-            f"{partition.layer_name}: kernels {kernels.shape} do not match "
+            f"{partition.layer_name}: kernels {tuple(shape)} do not match "
             f"partition K={partition.out_channels} C={partition.channels}"
         )
     if (r, s) != partition.kernel:
@@ -120,36 +115,10 @@ def pack_weights(
             f"{partition.layer_name}: kernel size {(r, s)} != "
             f"{partition.kernel}"
         )
-
-    scales = None
-    if partition.mode == "wino":
-        coeff_shape = (cfg.pt, cfg.pt)
-        if data:
-            alg = algorithm_for_tile(cfg.pt)
-            blocks = decompose_kernel(kernels, alg.r)
-            if tuple(offset for offset, _ in blocks) != partition.blocks:
-                raise CompileError(
-                    f"{partition.layer_name}: decomposition mismatch"
-                )
-            transformed = [
-                transform_weight(alg, block) for _, block in blocks
-            ]
-            # (n_blocks, K, C, PT, PT)
-            stacked = np.stack(transformed, axis=0)
-            if weight_type is not None:
-                stacked, scales = _scale_per_position(stacked, weight_type)
-    else:
-        coeff_shape = (r, s)
-        if data:
-            stacked = kernels[None]  # (1, K, C, R, S)
-
-    if data and weight_type is not None:
-        stacked = weight_type.quantize(stacked)
-
-    pieces = []
+    coeff_shape = (cfg.pt, cfg.pt) if partition.mode == "wino" else (r, s)
+    coeffs = coeff_shape[0] * coeff_shape[1]
     slots = []
     offset = 0
-    coeffs = coeff_shape[0] * coeff_shape[1]
     for k0, k_count in k_groups(partition):
         for c0, c_count in c_groups(partition):
             elems = len(partition.blocks) * k_count * c_count * coeffs
@@ -165,23 +134,60 @@ def pack_weights(
                     + coeff_shape,
                 )
             )
-            if data:
-                # stream order: [block][k][c][coeff]
-                block = stacked[:, k0 : k0 + k_count, c0 : c0 + c_count]
-                pieces.append(np.ascontiguousarray(block).reshape(-1))
             offset += elems
-    if data:
-        image = np.concatenate(pieces) if pieces else np.zeros(0)
-    else:
-        image = np.zeros(0)
     return PackedWeights(
         layer_name=partition.layer_name,
         mode=partition.mode,
-        image=image,
+        image=np.zeros(0),
         slots=slots,
         total_elems=offset,
-        scales=scales,
     )
+
+
+def pack_weights(
+    cfg: AcceleratorConfig,
+    partition: LayerPartition,
+    kernels: np.ndarray,
+    weight_type: Optional[DataType],
+) -> PackedWeights:
+    """Pack (and, for Winograd, transform) one layer's kernels.
+
+    ``kernels`` has shape ``(K, C, R, S)`` (Dense layers pass their
+    ``(K, C, 1, 1)`` view).  ``weight_type=None`` packs exact float64
+    values (used by functional equivalence tests).  The image follows
+    the layer's :func:`weight_directory`.
+    """
+    kernels = np.asarray(kernels, dtype=np.float64)
+    directory = weight_directory(cfg, partition, kernels.shape)
+    scales = None
+    if partition.mode == "wino":
+        alg = algorithm_for_tile(cfg.pt)
+        blocks = decompose_kernel(kernels, alg.r)
+        if tuple(offset for offset, _ in blocks) != partition.blocks:
+            raise CompileError(
+                f"{partition.layer_name}: decomposition mismatch"
+            )
+        transformed = [transform_weight(alg, block) for _, block in blocks]
+        # (n_blocks, K, C, PT, PT)
+        stacked = np.stack(transformed, axis=0)
+        if weight_type is not None:
+            stacked, scales = _scale_per_position(stacked, weight_type)
+    else:
+        stacked = kernels[None]  # (1, K, C, R, S)
+
+    if weight_type is not None:
+        stacked = weight_type.quantize(stacked)
+
+    # stream order: [k-group][c-group][block][k][c][coeff]
+    pieces = [
+        np.ascontiguousarray(
+            stacked[:, slot.k0 : slot.k0 + slot.k_count,
+                    slot.c0 : slot.c0 + slot.c_count]
+        ).reshape(-1)
+        for slot in directory.slots
+    ]
+    image = np.concatenate(pieces) if pieces else np.zeros(0)
+    return replace(directory, image=image, scales=scales)
 
 
 def pack_bias(

@@ -15,6 +15,8 @@ Public API
 ``Network`` / ``NetworkBuilder``
     Sequential layer graph with shape inference (:mod:`repro.ir.graph`,
     :mod:`repro.ir.builder`).
+``kernel_shape``
+    ``(K, C, R, S)`` kernel shape of a compute layer.
 ``zoo``
     Reference models: VGG16, AlexNet, and small test networks.
 ``load_network`` / ``save_network``
@@ -31,7 +33,7 @@ from repro.ir.layers import (
     MaxPool2D,
     ReLU,
 )
-from repro.ir.graph import Network
+from repro.ir.graph import Network, kernel_shape
 from repro.ir.builder import NetworkBuilder
 from repro.ir.serialize import (
     load_network,
@@ -53,6 +55,7 @@ __all__ = [
     "NetworkBuilder",
     "ReLU",
     "TensorShape",
+    "kernel_shape",
     "load_network",
     "network_from_dict",
     "network_to_dict",

@@ -10,7 +10,7 @@ parameter counts — everything the compiler, estimator and DSE need.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import Iterator, List, Optional, Tuple
 
 from repro.errors import GraphError
 from repro.ir.layers import Conv2D, Dense, Layer
@@ -29,6 +29,21 @@ class LayerInfo:
     ops: int
     weights: int
     biases: int
+
+
+def kernel_shape(info: LayerInfo) -> Tuple[int, int, int, int]:
+    """``(K, C, R, S)`` kernel shape of a compute layer.
+
+    Dense layers are ``(M, N, 1, 1)``: the compiler runs them as 1x1
+    convolutions over the flattened input.
+    """
+    layer = info.layer
+    if isinstance(layer, Conv2D):
+        r, s = layer.kernel_size
+        return (layer.out_channels, info.input_shape.channels, r, s)
+    if isinstance(layer, Dense):
+        return (layer.out_features, info.input_shape.size, 1, 1)
+    raise GraphError(f"{layer.name!r} is not a compute layer")
 
 
 class Network:

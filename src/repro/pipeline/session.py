@@ -28,6 +28,7 @@ get both ends for free.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from pathlib import Path
 from typing import Dict, Optional, Union
 
@@ -45,6 +46,11 @@ from repro.ir.graph import Network
 from repro.mapping.strategy import NetworkMapping
 from repro.pipeline.cache import CacheStats, EvaluationCache
 from repro.pipeline.store import EvaluationStore
+from repro.runtime.params import (
+    ParameterSet,
+    check_parameters,
+    generate_parameters,
+)
 
 
 class PipelineSession:
@@ -66,8 +72,11 @@ class PipelineSession:
     compiler_options:
         Forwarded to :func:`repro.compiler.compile_network`.
     params:
-        Pre-generated parameter dict; defaults to
-        ``generate_parameters(network, seed=seed)`` on first use.
+        Parameter dict (layer name -> ``{"weights", "bias"}``), checked
+        once here against the network's kernel shapes and bias lengths
+        (:func:`~repro.runtime.params.check_parameters`) whatever
+        ``compiler_options`` say; defaults to the lazy
+        ``generate_parameters(network, seed=seed)``.
     seed:
         Parameter-generation seed (ignored when ``params`` is given).
     cache:
@@ -88,7 +97,7 @@ class PipelineSession:
         cfg: Optional[AcceleratorConfig] = None,
         mapping: Optional[NetworkMapping] = None,
         compiler_options=None,
-        params: Optional[Dict[str, np.ndarray]] = None,
+        params: Optional[Mapping] = None,
         seed: int = 2020,
         cache: Optional[EvaluationCache] = None,
         store: Optional[Union[EvaluationStore, str, Path]] = None,
@@ -116,6 +125,12 @@ class PipelineSession:
             store.warm(self.cache)
         self.compiler_options = compiler_options
         self.seed = seed
+        if params is None:
+            params = generate_parameters(network, seed=seed)
+        elif not (
+            isinstance(params, ParameterSet) and params.network is network
+        ):
+            check_parameters(network, params)
         self._cfg = cfg
         self._mapping = mapping
         self._params = params
@@ -201,12 +216,11 @@ class PipelineSession:
 
     # -- deployment stages ----------------------------------------------
 
-    def parameters(self) -> Dict[str, np.ndarray]:
-        """Model parameters (generated once from :attr:`seed`)."""
-        if self._params is None:
-            from repro.runtime.params import generate_parameters
-
-            self._params = generate_parameters(self.network, seed=self.seed)
+    def parameters(self) -> Mapping:
+        """Model parameters: the ``params`` given at construction, or a
+        lazy :class:`~repro.runtime.params.ParameterSet` drawn from
+        :attr:`seed` only when a value is read.  A timing-only compile
+        (``pack_data=False``) reads none, so calling this is free."""
         return self._params
 
     def compiled(self):
@@ -260,8 +274,9 @@ class PipelineSession:
         """A cheap deployment twin for multi-shard serving.
 
         The clone shares every *immutable* artifact this session has
-        already computed — candidates, DSE result, mapping, estimate,
-        parameters and the compiled model — plus the evaluation cache
+        already computed — candidates, DSE result, mapping, estimate
+        and the compiled model — plus the one parameter set (drawn or
+        not, so N shards never draw N copies), the evaluation cache
         and the resolved calibration, so deploying N shards of one
         design costs one DSE + one compilation, not N.  It gets fresh
         runtime / simulation slots because a
@@ -281,11 +296,11 @@ class PipelineSession:
             cfg=self._cfg,
             mapping=self._mapping if self._cfg is not None else None,
             compiler_options=self.compiler_options,
-            params=self._params,
             seed=self.seed,
             cache=self.cache,
         )
         twin.calibration = self.calibration
+        twin._params = self._params
         twin._candidates = self._candidates
         twin._dse = self._dse
         twin._mapping = self._mapping

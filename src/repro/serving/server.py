@@ -191,9 +191,12 @@ class _ServeRun:
             self.autoscaler.attach(kernel, server.pool)
         if self.scenario is not None:
             self.scenario.prime(kernel, server.pool)
-        # Time the kernel, not the model: priming + draining is the
-        # whole event loop, and events/s over it is the serving
+        # Time the kernel, not the model: probes are warmed first
+        # (replicas seed from their twin), then priming + draining is
+        # the whole event loop, and events/s over it is the serving
         # layer's perf trajectory metric.
+        for shard in server.pool.shards:
+            shard.probe_seconds()
         start = time.perf_counter()
         self.source.prime(kernel)
         if self.max_events is None:

@@ -6,7 +6,7 @@ import pytest
 
 from repro.arch.params import AcceleratorConfig
 from repro.errors import CompileError
-from repro.compiler.data import pack_bias, pack_weights
+from repro.compiler.data import pack_bias, pack_weights, weight_directory
 from repro.ir import zoo
 from repro.ir.tensor import DataType
 from repro.mapping.partition import partition_layer
@@ -83,8 +83,8 @@ class TestPackWeights:
 
     def test_directory_only_mode(self, cfg):
         part, kernels = layer_setup(cfg, c=32, k=64)
-        full = pack_weights(cfg, part, kernels, None, data=True)
-        light = pack_weights(cfg, part, kernels, None, data=False)
+        full = pack_weights(cfg, part, kernels, None)
+        light = weight_directory(cfg, part, kernels.shape)
         assert light.image.size == 0
         assert light.elems == full.elems
         assert light.slots == full.slots
