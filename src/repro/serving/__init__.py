@@ -53,6 +53,7 @@ from repro.serving.events import (
     ShardUp,
 )
 from repro.serving.metrics import (
+    RecordColumns,
     RequestRecord,
     ScaleEvent,
     ServingReport,
@@ -151,6 +152,7 @@ __all__ = [
     "percentile",
     "POLICIES",
     "PolicyTick",
+    "RecordColumns",
     "Request",
     "RequestRecord",
     "Restore",

@@ -29,10 +29,11 @@ module computes it batch-granularly:
 * **completion accounting** replays the shard timeline scalar ops in
   dispatch order — ``start = max(at, busy_until)``, per-round
   ``completed = start + r * per_image`` and the telescoping-but-not-
-  in-floats ``busy_delta`` accumulation — then bulk-builds the
-  per-request records as numpy arrays: ``completed = start +
-  (position // NI + 1) * per_image`` elementwise is IEEE-identical to
-  the kernel's per-record arithmetic.
+  in-floats ``busy_delta`` accumulation — then builds the report's
+  record columns (:class:`~repro.serving.metrics.RecordColumns`) as
+  numpy arrays: ``completed = start + (position // NI + 1) *
+  per_image`` elementwise is IEEE-identical to the kernel's
+  per-record arithmetic, and no per-request row is ever built.
 
 The kernel is the oracle: every field of the resulting
 :class:`~repro.serving.metrics.ServingReport` except the wall-clock
@@ -50,7 +51,6 @@ the same :class:`~repro.errors.ServingError` the kernel raises.
 
 from __future__ import annotations
 
-import gc
 import math
 import time
 from typing import List, Optional
@@ -58,7 +58,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.errors import ServingError
-from repro.serving.metrics import RequestRecord, ServingReport, ShardUsage
+from repro.serving.metrics import RecordColumns, ServingReport, ShardUsage
 from repro.serving.scheduler import (
     LeastLoaded,
     RoundRobin,
@@ -121,7 +121,7 @@ def _arrival_stream(source):
     ``0..N-1`` (the trace case), saving the argsort.
     """
     if type(source) is TraceSource:
-        return [float(value) for value in source.arrivals], None
+        return source.arrivals, None
     requests = source.requests  # already (arrival, index)-sorted
     return (
         [request.arrival for request in requests],
@@ -350,7 +350,7 @@ def fastforward_serve(
             "- runaway event loop?"
         )
 
-    # Bulk-build the per-request view.  Every elementwise op below is
+    # Build the record columns.  Every elementwise op below is
     # the kernel's per-record scalar op (int // int + 1, int * float,
     # float + float) applied across the whole array.
     size_array = np.asarray(sizes, dtype=np.int64)
@@ -372,9 +372,6 @@ def fastforward_serve(
         position // instance_array[request_shard] + 1
     ) * per_image_array[request_shard]
 
-    name_array = np.asarray(
-        [shard.name for shard in shards], dtype=object
-    )
     arrival_array = np.asarray(arrivals, dtype=np.float64)
     index_array = (
         np.arange(count, dtype=np.int64) if indices is None
@@ -391,29 +388,12 @@ def fastforward_serve(
         completed = completed[order]
         request_shard = request_shard[order]
         batch_size = batch_size[order]
-    # map() with positional args is the cheapest way to mint a million
-    # frozen-slots dataclasses — the constructor cost dominates this
-    # whole function on large replays.  The records hold only atomic
-    # fields and form no cycles, so pausing the cyclic collector for
-    # the allocation storm is safe and avoids re-scanning every other
-    # live report while this one is born.
-    collector_was_enabled = gc.isenabled()
-    if collector_was_enabled:
-        gc.disable()
-    try:
-        records = list(map(
-            RequestRecord,
-            index_array.tolist(),
-            arrival_array.tolist(),
-            dispatched.tolist(),
-            started.tolist(),
-            completed.tolist(),
-            name_array[request_shard].tolist(),
-            batch_size.tolist(),
-        ))
-    finally:
-        if collector_was_enabled:
-            gc.enable()
+    records = RecordColumns(
+        index_array, arrival_array, dispatched, started, completed,
+        request_shard, batch_size, np.zeros(count, dtype=np.int32),
+        shard_names=[shard.name for shard in shards],
+        tenant_names=[DEFAULT_TENANT],
+    )
 
     total_ops = sum(
         shard.ops_per_image * usage_requests[j]

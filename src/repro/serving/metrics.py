@@ -9,13 +9,21 @@ its answer.  A :class:`ServingReport` therefore carries both views:
   :class:`~repro.runtime.batch.BatchResult`;
 * **per-request** — queueing delay and end-to-end latency percentiles
   (nearest-rank), the quantities a latency-vs-throughput policy trades.
+
+The per-request view is stored as numpy columns
+(:class:`RecordColumns`), so a million-request replay's statistics are
+array operations computed once; :class:`RequestRecord` stays the row
+type that indexing and iteration hand out.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import cached_property
+from operator import attrgetter
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,9 +40,8 @@ class RequestRecord:
     (``> dispatched`` when the shard was still draining earlier work);
     ``completed`` -> the image's round-robin slot finished.
 
-    ``tenant`` stays the *last* field: the fast-forward engine builds
-    records positionally in bulk and default-tenant replays must not
-    pay for the tag.
+    A report stores its records as :class:`RecordColumns`; this is the
+    row view it hands out.
     """
 
     index: int
@@ -68,7 +75,7 @@ def percentile(values: Sequence[float], q: float) -> float:
     comparison-dependent, and preserving the legacy result exactly
     matters more than speed on a degenerate sample.
     """
-    if not values:
+    if len(values) == 0:
         raise ServingError("percentile of an empty sample")
     if not 0 <= q <= 100:
         raise ServingError(f"percentile must be in [0, 100], got {q}")
@@ -78,6 +85,183 @@ def percentile(values: Sequence[float], q: float) -> float:
     if np.isnan(array).any():
         return sorted(values)[k]
     return float(np.partition(array, k)[k])
+
+
+def _frozen_column(values, dtype) -> np.ndarray:
+    column = np.asarray(values, dtype=dtype)
+    column.flags.writeable = False
+    return column
+
+
+def _encode(names: Iterable[str], count: int
+            ) -> Tuple[np.ndarray, Tuple[str, ...]]:
+    """Integer codes into a first-seen tuple of distinct names."""
+    table: Dict[str, int] = {}
+    codes = np.fromiter(
+        (table.setdefault(name, len(table)) for name in names),
+        np.int32, count,
+    )
+    return codes, tuple(table)
+
+
+def _decode(codes: np.ndarray, names: Tuple[str, ...]) -> List[str]:
+    return list(map(names.__getitem__, codes.tolist()))
+
+
+class RecordColumns(SequenceABC):
+    """A report's per-request records, stored column by column.
+
+    A read-only ``Sequence[RequestRecord]``: ``index``, ``arrival``,
+    ``dispatched``, ``started``, ``completed`` and ``batch_size`` are
+    numpy arrays, and ``shard``/``tenant`` are integer codes into the
+    ``shard_names``/``tenant_names`` tuples.  Statistics read the
+    columns; indexing, slicing and iteration build
+    :class:`RequestRecord` rows on demand (a slice is a list of rows),
+    and the first full iteration caches the row list.  Equality
+    compares decoded values, so two runs that interned their names in
+    a different order still compare equal.  Pickling keeps only the
+    columns.
+    """
+
+    def __init__(self, index, arrival, dispatched, started, completed,
+                 shard, batch_size, tenant,
+                 shard_names: Sequence[str],
+                 tenant_names: Sequence[str]):
+        self.index = _frozen_column(index, np.int64)
+        self.arrival = _frozen_column(arrival, np.float64)
+        self.dispatched = _frozen_column(dispatched, np.float64)
+        self.started = _frozen_column(started, np.float64)
+        self.completed = _frozen_column(completed, np.float64)
+        self.shard = _frozen_column(shard, np.int32)
+        self.batch_size = _frozen_column(batch_size, np.int64)
+        self.tenant = _frozen_column(tenant, np.int32)
+        self.shard_names = tuple(shard_names)
+        self.tenant_names = tuple(tenant_names)
+        lengths = {len(column) for column in self._columns()}
+        if len(lengths) > 1:
+            raise ServingError(
+                f"record columns differ in length: {sorted(lengths)}"
+            )
+        for names in (self.shard_names, self.tenant_names):
+            if len(set(names)) != len(names):
+                raise ServingError(f"duplicate column names in {names}")
+        self._rows: Optional[List[RequestRecord]] = None
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[RequestRecord]) -> "RecordColumns":
+        """Columns of ``rows``; the row list is kept as the row cache,
+        so rows the caller already built are never rebuilt."""
+        if isinstance(rows, RecordColumns):
+            return rows
+        rows = rows if isinstance(rows, list) else list(rows)
+        count = len(rows)
+
+        def column(name: str, dtype=np.float64) -> np.ndarray:
+            return np.fromiter(map(attrgetter(name), rows), dtype, count)
+
+        shard, shard_names = _encode(map(attrgetter("shard"), rows), count)
+        tenant, tenant_names = _encode(
+            map(attrgetter("tenant"), rows), count
+        )
+        columns = cls(
+            column("index", np.int64), column("arrival"),
+            column("dispatched"), column("started"), column("completed"),
+            shard, column("batch_size", np.int64), tenant,
+            shard_names, tenant_names,
+        )
+        columns._rows = rows
+        return columns
+
+    def _columns(self) -> Tuple[np.ndarray, ...]:
+        return (
+            self.index, self.arrival, self.dispatched, self.started,
+            self.completed, self.shard, self.batch_size, self.tenant,
+        )
+
+    # -- derived columns --------------------------------------------------
+
+    @property
+    def latency(self) -> np.ndarray:
+        """End-to-end seconds per record: ``completed - arrival``."""
+        return self.completed - self.arrival
+
+    @property
+    def queue_seconds(self) -> np.ndarray:
+        """Seconds before the shard started each record's batch."""
+        return self.started - self.arrival
+
+    # -- the row view -----------------------------------------------------
+
+    def _build(self, part: slice) -> List[RequestRecord]:
+        return list(map(
+            RequestRecord,
+            self.index[part].tolist(),
+            self.arrival[part].tolist(),
+            self.dispatched[part].tolist(),
+            self.started[part].tolist(),
+            self.completed[part].tolist(),
+            _decode(self.shard[part], self.shard_names),
+            self.batch_size[part].tolist(),
+            _decode(self.tenant[part], self.tenant_names),
+        ))
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def __getitem__(self, key):
+        if self._rows is not None:
+            return self._rows[key]
+        if isinstance(key, slice):
+            return self._build(key)
+        position = range(len(self))[key]  # normalised and checked
+        return self._build(slice(position, position + 1))[0]
+
+    def __iter__(self):
+        if self._rows is None:
+            self._rows = self._build(slice(None))
+        return iter(self._rows)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (list, tuple)):
+            return list(self) == list(other)
+        if not isinstance(other, RecordColumns):
+            return NotImplemented
+        numeric = ("index", "arrival", "dispatched", "started",
+                   "completed", "batch_size")
+        return (
+            len(self) == len(other)
+            and all(
+                np.array_equal(getattr(self, name), getattr(other, name))
+                for name in numeric
+            )
+            and _decode(self.shard, self.shard_names)
+            == _decode(other.shard, other.shard_names)
+            and _decode(self.tenant, self.tenant_names)
+            == _decode(other.tenant, other.tenant_names)
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __reduce__(self):
+        return (
+            RecordColumns,
+            self._columns() + (self.shard_names, self.tenant_names),
+        )
+
+    def __repr__(self) -> str:
+        return f"RecordColumns({len(self)} records)"
+
+
+def _mean(values: np.ndarray) -> float:
+    """The builtin ``sum`` over a column (NaN when empty).
+
+    Deliberately not ``np.sum``: pairwise summation rounds differently,
+    and reports must stay bit-identical to row-wise accumulation on
+    every interpreter.
+    """
+    if len(values) == 0:
+        return float("nan")
+    return sum(values.tolist()) / len(values)
 
 
 @dataclass(frozen=True)
@@ -208,9 +392,15 @@ class ServingReport:
     machine the simulation ran on, so they are excluded from equality
     (two runs of the same scenario compare equal even though their
     wall clocks differ).
+
+    ``records`` is always a :class:`RecordColumns`: any row sequence
+    passed in is converted on construction.  Every statistic reads the
+    columns, and the ones a report renders more than once (makespan,
+    means, percentiles, the per-tenant breakdowns) are computed once
+    and cached on the instance.
     """
 
-    records: List[RequestRecord]
+    records: RecordColumns
     shards: List[ShardUsage]
     total_ops: int
     shed: int = 0
@@ -244,6 +434,9 @@ class ServingReport:
                 f"admission_shed ({self.admission_shed}) must be a "
                 f"subset of shed ({self.shed})"
             )
+        object.__setattr__(
+            self, "records", RecordColumns.from_rows(self.records)
+        )
 
     # -- aggregate view ---------------------------------------------------
 
@@ -251,15 +444,14 @@ class ServingReport:
     def count(self) -> int:
         return len(self.records)
 
-    @property
+    @cached_property
     def makespan_seconds(self) -> float:
         """First arrival to last completion — the Table-4 span
         (0.0 when nothing completed)."""
-        if not self.records:
+        if not self.count:
             return 0.0
-        start = min(r.arrival for r in self.records)
-        end = max(r.completed for r in self.records)
-        return end - start
+        records = self.records
+        return float(records.completed.max() - records.arrival.min())
 
     @property
     def throughput_gops(self) -> float:
@@ -281,24 +473,31 @@ class ServingReport:
     # -- per-request view -------------------------------------------------
 
     def latencies(self) -> List[float]:
-        return [r.latency for r in self.records]
+        return self.records.latency.tolist()
 
     def latency_percentile(self, q: float) -> float:
-        if not self.records:
+        if not self.count:
             return float("nan")
-        return percentile(self.latencies(), q)
+        cache = self._percentiles
+        if q not in cache:
+            cache[q] = percentile(self.records.latency, q)
+        return cache[q]
 
-    @property
+    @cached_property
+    def _percentiles(self) -> Dict[float, float]:
+        return {}
+
+    @cached_property
     def mean_latency(self) -> float:
-        if not self.records:
-            return float("nan")
-        return sum(self.latencies()) / self.count
+        return _mean(self.records.latency)
 
-    @property
+    @cached_property
     def mean_queue_seconds(self) -> float:
-        if not self.records:
-            return float("nan")
-        return sum(r.queue_seconds for r in self.records) / self.count
+        return _mean(self.records.queue_seconds)
+
+    def served_within(self, target_s: float) -> int:
+        """How many served requests finished within ``target_s``."""
+        return int(np.count_nonzero(self.records.latency <= target_s))
 
     def per_shard(self) -> Dict[str, ShardUsage]:
         return {usage.name: usage for usage in self.shards}
@@ -306,7 +505,7 @@ class ServingReport:
     def tenants(self) -> List[str]:
         """Every tenant the run touched (served, shed or stranded), in
         deterministic sorted order with the default tenant first."""
-        names = {record.tenant for record in self.records}
+        names = set(self._served_tenants())
         names.update(self.shed_by_tenant)
         names.update(self.unserved_by_tenant)
         names.update(self.tenant_slo_targets)
@@ -316,45 +515,75 @@ class ServingReport:
             names, key=lambda name: (name != DEFAULT_TENANT, name)
         )
 
+    def _served_tenants(self) -> Dict[str, int]:
+        """Each served tenant's code in the ``tenant`` column."""
+        records = self.records
+        counts = np.bincount(
+            records.tenant, minlength=len(records.tenant_names)
+        )
+        return {
+            name: code for code, name in enumerate(records.tenant_names)
+            if counts[code]
+        }
+
     def per_tenant(self) -> Dict[str, TenantBreakdown]:
         """Per-tenant breakdowns: counts, latency percentiles and each
         tenant's own SLO attainment.  Sums are exhaustive — every
         tenant's ``count``/``shed``/``unserved`` adds up to the global
         accounting."""
-        grouped: Dict[str, List[float]] = {}
-        for record in self.records:
-            grouped.setdefault(record.tenant, []).append(record.latency)
+        return dict(self._tenant_breakdowns)
+
+    @cached_property
+    def _tenant_breakdowns(self) -> Dict[str, TenantBreakdown]:
+        records = self.records
+        codes = self._served_tenants()
         breakdowns = {}
         for name in self.tenants():
-            latencies = grouped.get(name, [])
+            code = codes.get(name)
+            if code is None:
+                latencies = np.empty(0, dtype=np.float64)
+            elif len(codes) == 1:
+                latencies = records.latency
+            else:
+                # A boolean mask keeps record order, so sums accumulate
+                # in the same sequence a row walk would.
+                latencies = records.latency[records.tenant == code]
+            served = len(latencies)
             target = self.tenant_slo_targets.get(name)
             shed = self.shed_by_tenant.get(name, 0)
             unserved = self.unserved_by_tenant.get(name, 0)
             attainment = None
             if target is not None:
-                issued = len(latencies) + shed + unserved
+                issued = served + shed + unserved
                 attainment = (
-                    sum(1 for value in latencies if value <= target)
-                    / issued if issued else 0.0
+                    int(np.count_nonzero(latencies <= target)) / issued
+                    if issued else 0.0
+                )
+            if served == self.count:
+                # The whole run is this tenant's: share the run-wide
+                # statistics instead of recomputing them.
+                mean = self.mean_latency
+                p50 = self.latency_percentile(50)
+                p99 = self.latency_percentile(99)
+            else:
+                mean = _mean(latencies)
+                p50 = (
+                    percentile(latencies, 50) if served
+                    else float("nan")
+                )
+                p99 = (
+                    percentile(latencies, 99) if served
+                    else float("nan")
                 )
             breakdowns[name] = TenantBreakdown(
                 tenant=name,
-                count=len(latencies),
+                count=served,
                 shed=shed,
                 admission_shed=self.admission_shed_by_tenant.get(name, 0),
                 unserved=unserved,
-                mean_latency_s=(
-                    sum(latencies) / len(latencies)
-                    if latencies else float("nan")
-                ),
-                p50_latency_s=(
-                    percentile(latencies, 50)
-                    if latencies else float("nan")
-                ),
-                p99_latency_s=(
-                    percentile(latencies, 99)
-                    if latencies else float("nan")
-                ),
+                mean_latency_s=mean,
+                p50_latency_s=p50,
+                p99_latency_s=p99,
                 slo_target_s=target,
                 slo_attainment=attainment,
             )
@@ -374,8 +603,7 @@ class ServingReport:
         issued = self.count + self.shed + self.unserved
         if issued == 0:
             return 0.0
-        within = sum(1 for r in self.records if r.latency <= target_s)
-        return within / issued
+        return self.served_within(target_s) / issued
 
     def survival(self, target_s: float,
                  multiples: Sequence[float] = (1.0, 2.0, 4.0, 8.0)
@@ -504,7 +732,7 @@ class ServingReport:
     # -- rendering --------------------------------------------------------
 
     def describe(self) -> str:
-        if not self.records:
+        if not self.count:
             reasons = []
             if self.shed:
                 slo_shed = self.shed - self.admission_shed
@@ -536,7 +764,6 @@ class ServingReport:
                     "the p99 SLO was never evaluated"
                 )
             return text
-        latencies = self.latencies()
         lines = [
             f"served {self.count} requests over "
             f"{len(self.shards)} shard(s) in "
@@ -545,10 +772,10 @@ class ServingReport:
             f"  throughput: {self.images_per_second:.1f} img/s, "
             f"{self.throughput_gops:.1f} GOPS aggregate",
             f"  latency ms: mean {self.mean_latency * 1e3:.2f}, "
-            f"p50 {percentile(latencies, 50) * 1e3:.2f}, "
-            f"p90 {percentile(latencies, 90) * 1e3:.2f}, "
-            f"p99 {percentile(latencies, 99) * 1e3:.2f}, "
-            f"max {max(latencies) * 1e3:.2f} "
+            f"p50 {self.latency_percentile(50) * 1e3:.2f}, "
+            f"p90 {self.latency_percentile(90) * 1e3:.2f}, "
+            f"p99 {self.latency_percentile(99) * 1e3:.2f}, "
+            f"max {self.records.latency.max() * 1e3:.2f} "
             f"(queue {self.mean_queue_seconds * 1e3:.2f} mean)",
         ]
         if self.wall_seconds > 0.0:

@@ -62,7 +62,12 @@ from repro.serving.events import (
 )
 from repro.serving.chaos import ChaosScenario
 from repro.serving.fastforward import fastforward_serve, ineligible_reason
-from repro.serving.metrics import RequestRecord, ServingReport, ShardUsage
+from repro.serving.metrics import (
+    RecordColumns,
+    RequestRecord,
+    ServingReport,
+    ShardUsage,
+)
 from repro.serving.scheduler import (
     Scheduler,
     SchedulingPolicy,
@@ -440,6 +445,7 @@ class _ServeRun:
         self, events_processed: int = 0, wall_seconds: float = 0.0
     ) -> ServingReport:
         self.records.sort(key=lambda record: record.index)
+        records = RecordColumns.from_rows(self.records)
         unserved = sum(len(batch) for batch in self.parked)
         unserved_by_tenant: Dict[str, int] = {}
         for batch in self.parked:
@@ -451,11 +457,10 @@ class _ServeRun:
             # Clip the provisioned timeline to the makespan window, so
             # the bill is directly comparable to a fixed pool's
             # shards * makespan and the reported spans sum to it.
-            start = min((r.arrival for r in self.records), default=0.0)
-            end = max(
-                (r.completed for r in self.records),
-                default=self.kernel.now,
-            )
+            start, end = 0.0, self.kernel.now
+            if len(records):
+                start = float(records.arrival.min())
+                end = float(records.completed.max())
             shard_seconds = 0.0
             for name, intervals in self.autoscaler.usage_spans(
                 end
@@ -479,7 +484,7 @@ class _ServeRun:
             for shard in self.server.pool
         ]
         return ServingReport(
-            records=self.records,
+            records=records,
             shards=usage,
             total_ops=self.total_ops,
             shed=self.shed,

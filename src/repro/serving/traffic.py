@@ -371,7 +371,7 @@ class TraceSource(EventSource):
         name: str = "trace",
         tenants: Optional[Sequence[str]] = None,
     ):
-        if not arrivals:
+        if len(arrivals) == 0:
             raise ServingError("nothing to serve: empty trace")
         if time_scale <= 0 or not math.isfinite(time_scale):
             raise ServingError(
@@ -379,43 +379,39 @@ class TraceSource(EventSource):
             )
         if loop < 1:
             raise ServingError(f"loop must be >= 1, got {loop}")
-        tags = (
-            [DEFAULT_TENANT] * len(arrivals)
-            if tenants is None else [str(tag) for tag in tenants]
-        )
-        if len(tags) != len(arrivals):
-            raise ServingError(
-                f"trace has {len(arrivals)} arrivals but "
-                f"{len(tags)} tenant tags"
-            )
-        if not all(tags):
-            raise ServingError("trace tenant tags must be non-empty")
-        pairs = sorted(
-            zip((float(value) for value in arrivals), tags),
-            key=lambda pair: pair[0],
-        )
-        base = [value for value, _tag in pairs]
-        if not all(math.isfinite(value) for value in base):
+        if tenants is not None:
+            tags = [str(tag) for tag in tenants]
+            if len(tags) != len(arrivals):
+                raise ServingError(
+                    f"trace has {len(arrivals)} arrivals but "
+                    f"{len(tags)} tenant tags"
+                )
+            if not all(tags):
+                raise ServingError("trace tenant tags must be non-empty")
+        values = np.asarray(arrivals, dtype=np.float64)
+        order = np.argsort(values, kind="stable")
+        base = values[order]
+        if not np.isfinite(base).all():
             raise ServingError("trace arrivals must be finite")
-        origin = base[0]
-        scaled = [(value - origin) * time_scale for value in base]
-        span = scaled[-1]
+        scaled = (base - base[0]) * time_scale
+        span = float(scaled[-1])
         gap = span / (len(scaled) - 1) if len(scaled) > 1 else 0.0
         cycle = span + gap
         self.name = name
         self.time_scale = time_scale
         self.loop = loop
-        self.arrivals = [
-            iteration * cycle + value
-            for iteration in range(loop)
-            for value in scaled
-        ]
-        self.tags = [
-            tag for _iteration in range(loop) for _value, tag in pairs
-        ]
+        iterations = np.arange(loop, dtype=np.float64)[:, np.newaxis]
+        self.arrivals = (iterations * cycle + scaled).ravel().tolist()
+        sorted_tags = (
+            [DEFAULT_TENANT] * len(base) if tenants is None
+            else [tags[position] for position in order.tolist()]
+        )
+        self.tags = sorted_tags * loop
         #: True when any arrival carries a non-default tenant tag —
         #: precomputed so fast-forward eligibility gating stays O(1).
-        self.tenanted = any(tag != DEFAULT_TENANT for tag in self.tags)
+        self.tenanted = tenants is not None and any(
+            tag != DEFAULT_TENANT for tag in sorted_tags
+        )
 
     @classmethod
     def load(

@@ -1,5 +1,6 @@
 """Tests for repro.serving — shards, scheduling, batching, metrics."""
 
+import numpy as np
 import pytest
 
 from repro.arch.params import AcceleratorConfig
@@ -417,7 +418,13 @@ class TestMetrics:
         with pytest.raises(ServingError):
             percentile([], 50)
         with pytest.raises(ServingError):
+            percentile(np.array([]), 50)
+        with pytest.raises(ServingError):
             percentile([1.0], 101)
+
+    def test_percentile_of_an_array(self):
+        assert percentile(np.array([1.0, 2.0]), 50) == 1.0
+        assert percentile(np.array([3.0, 1.0, 2.0]), 100) == 3.0
 
     def test_report_latency_includes_queueing(self):
         pool = ShardPool.replicate(make_session(), 1)

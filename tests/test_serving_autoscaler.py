@@ -9,6 +9,7 @@ re-queue, never drop).
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
@@ -389,6 +390,35 @@ class TestTraceReplay:
         requests = source.requests()
         assert [r.index for r in requests] == list(range(6))
         assert source.mean_qps() == pytest.approx(2.0)
+
+    def test_looped_tagged_trace_is_pinned(self):
+        # Unsorted input with ties: a stable sort keeps tied arrivals in
+        # input order, and every loop repeats the sorted tags.
+        source = TraceSource(
+            [10.3, 10.0, 10.7, 10.0, 11.9, 10.3], time_scale=0.7, loop=3,
+            tenants=["a", "b", "c", "d", "e", "f"],
+        )
+        assert source.arrivals == [
+            0.0, 0.0, 0.2100000000000005, 0.2100000000000005,
+            0.4899999999999995, 1.33, 1.596, 1.596, 1.8060000000000005,
+            1.8060000000000005, 2.0859999999999994, 2.926, 3.192, 3.192,
+            3.4020000000000006, 3.4020000000000006, 3.6819999999999995,
+            4.522,
+        ]
+        assert source.tags == ["b", "d", "a", "f", "c", "e"] * 3
+        assert source.tenanted
+        assert all(type(value) is float for value in source.arrivals)
+
+    def test_array_input_and_non_finite_arrivals(self):
+        source = TraceSource(np.array([2.0, 1.0, 3.0]))
+        assert source.arrivals == [0.0, 1.0, 2.0]
+        assert not source.tenanted
+        for bad in ([0.0, float("nan")], [float("inf"), 1.0],
+                    np.array([0.0, -np.inf])):
+            with pytest.raises(ServingError, match="finite"):
+                TraceSource(bad)
+        with pytest.raises(ServingError, match="empty"):
+            TraceSource(np.array([]))
 
     def test_epoch_timestamps_rebase(self):
         source = TraceSource([1690000000.0, 1690000001.0])
