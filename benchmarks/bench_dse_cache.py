@@ -4,17 +4,20 @@ pipeline vs warm on-disk store.
 The sweep is the VGG16 tradeoff study on VU9P: the full 621-candidate
 space explored once per objective (throughput, then latency) — the
 many-scenario pattern the unified pipeline exists for.  The *seed* path
-is the brute-force configuration (no cache, no pruning); the *pipeline*
-path shares one :class:`~repro.pipeline.cache.EvaluationCache` across
-the two runs and enables lower-bound pruning with best-first ordering.
+is the exhaustive reference (:func:`~repro.dse.exhaustive_dse`: no
+cache, no bound); the *pipeline* path is :func:`~repro.dse.run_dse`,
+which visits candidates in admissible-bound order, stops once none can
+reach the ranking, and shares one
+:class:`~repro.pipeline.cache.EvaluationCache` across the two runs.
 The *store* path repeats the sweep in a fresh cache warmed from an
 :class:`~repro.pipeline.store.EvaluationStore` flushed by a cold run —
 the repeated-fleet workload persistent caching exists for.
 
 Checked claims:
 
-* the pipeline selects the byte-identical design point per objective;
+* the pipeline selects the byte-identical ranking per objective;
 * >= 3x wall-clock speedup over the seed path;
+* the bound order prunes >= 600 of the 621 candidates per objective;
 * >= 50% cache hit rate across the sweep;
 * a store-warmed repeat reports > 90% estimate-level hit rate and the
   byte-identical selection of the cold brute-force run.
@@ -22,7 +25,7 @@ Checked claims:
 
 import time
 
-from repro.dse import run_dse
+from repro.dse import exhaustive_dse, run_dse
 from repro.dse.space import DseOptions
 from repro.fpga import get_device
 from repro.ir import zoo
@@ -33,10 +36,10 @@ OBJECTIVES = ("throughput", "latency")
 
 def _sweep_seed(device, network):
     return {
-        objective: run_dse(
+        objective: exhaustive_dse(
             device, network,
             DseOptions(frequency_mhz=device.frequency_mhz,
-                       objective=objective, use_cache=False, prune=False),
+                       objective=objective),
         )
         for objective in OBJECTIVES
     }
@@ -47,15 +50,17 @@ def _sweep_pipeline(device, network, cache):
         objective: run_dse(
             device, network,
             DseOptions(frequency_mhz=device.frequency_mhz,
-                       objective=objective, best_first=True),
+                       objective=objective),
             cache=cache,
         )
         for objective in OBJECTIVES
     }
 
 
-def _design_point(result):
-    return result.cfg, result.mapping, result.estimate
+def _ranking(result):
+    return [
+        (r.cfg, r.mapping, r.estimate) for r in (result, *result.runners_up)
+    ]
 
 
 def test_dse_cache_speedup(benchmark, once, capsys):
@@ -78,7 +83,7 @@ def test_dse_cache_speedup(benchmark, once, capsys):
         print("VGG16 full sweep on vu9p "
               f"({seed['throughput'].candidates_considered} candidates "
               f"x {len(OBJECTIVES)} objectives)")
-        print(f"  seed (brute force): {seed_seconds * 1e3:8.1f} ms")
+        print(f"  seed (exhaustive):  {seed_seconds * 1e3:8.1f} ms")
         print(f"  pipeline:           {fast_seconds * 1e3:8.1f} ms "
               f"({speedup:.1f}x)")
         print(f"  cache: {stats.describe()}")
@@ -88,11 +93,11 @@ def test_dse_cache_speedup(benchmark, once, capsys):
                   f"pruned {result.candidates_pruned} of "
                   f"{result.candidates_considered}")
 
-    # Identical selection per objective.
+    # Identical ranking per objective.
     for objective in OBJECTIVES:
-        assert _design_point(fast[objective]) == _design_point(
-            seed[objective]
-        ), objective
+        assert _ranking(fast[objective]) == _ranking(seed[objective]), (
+            objective
+        )
     # Acceptance: >= 3x wall-clock, >= 50% cache hit rate.
     assert speedup >= 3.0, f"speedup {speedup:.2f}x < 3x"
     assert stats.hit_rate >= 0.5, f"hit rate {stats.hit_rate:.2%} < 50%"
@@ -131,34 +136,30 @@ def test_dse_store_warm_sweep(tmp_path, once, benchmark, capsys):
 
     # Identical selection, served almost entirely from the store.
     for objective in OBJECTIVES:
-        assert _design_point(warm[objective]) == _design_point(
-            cold[objective]
-        ), objective
+        assert _ranking(warm[objective]) == _ranking(cold[objective]), (
+            objective
+        )
     assert stats.estimate_hit_rate > 0.9, (
         f"warm estimate hit rate {stats.estimate_hit_rate:.2%} <= 90%"
     )
 
 
-def test_dse_process_executor_equivalence(capsys):
-    """executor="process" reproduces the brute-force VGG16 selection."""
+def test_dse_bound_order_prunes_vgg16_vu9p(capsys):
+    """Both objectives stop after a handful of VGG16/VU9P candidates."""
     device = get_device("vu9p")
     network = zoo.vgg16()
-    options = DseOptions(frequency_mhz=device.frequency_mhz,
-                         use_cache=False, prune=False)
-    seed = run_dse(device, network, options)
-    start = time.perf_counter()
-    proc = run_dse(
-        device, network,
-        DseOptions(frequency_mhz=device.frequency_mhz, best_first=True,
-                   jobs=2, executor="process"),
-    )
-    seconds = time.perf_counter() - start
+    fast = _sweep_pipeline(device, network, EvaluationCache())
     with capsys.disabled():
         print()
-        print(f"VGG16 process-executor sweep on vu9p: {seconds * 1e3:.1f} ms,"
-              f" evaluated {proc.candidates_evaluated}, pruned "
-              f"{proc.candidates_pruned} of {proc.candidates_considered}")
-    assert _design_point(proc) == _design_point(seed)
-    assert [_design_point(r) for r in proc.runners_up] == [
-        _design_point(r) for r in seed.runners_up
-    ]
+        for objective in OBJECTIVES:
+            result = fast[objective]
+            print(f"VGG16 {objective} on vu9p: evaluated "
+                  f"{result.candidates_evaluated}, pruned "
+                  f"{result.candidates_pruned} of "
+                  f"{result.candidates_considered}")
+    for objective in OBJECTIVES:
+        result = fast[objective]
+        assert result.candidates_considered == 621, objective
+        assert result.candidates_pruned >= 600, (
+            f"{objective}: pruned {result.candidates_pruned} < 600"
+        )

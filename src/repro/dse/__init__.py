@@ -6,12 +6,16 @@ Three steps, matching the paper's algorithm:
    resource constraints (``explore_hardware``).
 2. For every candidate, select each layer's best (mode, dataflow) using
    the Eq. 12-15 latency model (``map_network``) — O(N x L).
-3. Pick the candidate with the lowest total latency (``run_dse``) — O(N).
+3. Pick the candidate with the best objective (``run_dse``) — O(N),
+   visiting candidates in admissible-bound order and stopping once no
+   remaining candidate can enter the ranking.  ``exhaustive_dse`` is
+   the unpruned, uncached reference it must equal.
 """
 
 from repro.dse.space import DseOptions, HardwareCandidate, explore_hardware
 from repro.dse.engine import (
     DseResult,
+    exhaustive_dse,
     latency_lower_bound,
     map_network,
     objective_lower_bound,
@@ -22,6 +26,7 @@ __all__ = [
     "DseOptions",
     "DseResult",
     "HardwareCandidate",
+    "exhaustive_dse",
     "explore_hardware",
     "latency_lower_bound",
     "map_network",

@@ -6,39 +6,26 @@ and keeps the argmin — the per-layer design choices are independent
 given the hardware, so this is exact, not heuristic.  Step 3 ranks the
 candidates by the chosen objective.
 
-Step 3 runs through three accelerations, all of which preserve the
-brute-force selection bit for bit:
+Step 3 is one loop, and it returns the exhaustive ranking
+(:func:`exhaustive_dse`) bit for bit:
 
-* **memoization** — per-layer estimates go through an
+* a lower bound over *all four* module times (``latency >= sum of
+  per-layer min-over-modes max(T_CP, T_LDI, T_LDW, T_SV)``, Eq. 6-11)
+  is admissible, so candidates are visited in ascending-bound order and
+  the first one whose bound exceeds the current ``top_k``-th objective
+  ends the loop — every later candidate's bound is at least as large,
+  so none of them can reach the ranking; the bandwidth terms end the
+  loop before memory-bound candidates a compute-only bound would have
+  to evaluate;
+* per-layer estimates go through an
   :class:`~repro.pipeline.cache.EvaluationCache`, deduplicating repeated
-  layer shapes and the final re-estimate of the selected mapping;
-* **pruning** — a lower bound over *all four* module times
-  (``latency >= sum of per-layer min-over-modes
-  max(T_CP, T_LDI, T_LDW, T_SV)``, Eq. 6-11) is admissible, so any
-  candidate whose bound cannot beat the current ``top_k``-th objective
-  is skipped without affecting the winner *or* the runners-up — the
-  bandwidth terms prune memory-bound candidates a compute-only bound
-  would have to evaluate;
-* **parallelism** — ``DseOptions.jobs`` evaluates candidates on a
-  thread pool (``executor="thread"``) or ships pickled candidate
-  batches to a process pool (``executor="process"``, the one that
-  scales on GIL builds); either way results are re-ranked by
-  (objective, enumeration index), which is exactly the stable order of
-  the serial path.
-
-The process backend's work unit is a batch of candidate indices; each
-worker holds the (device, network, calibration, candidates) payload from
-its initializer plus a local :class:`EvaluationCache` seeded with the
-parent cache's entries, and returns ``(items, cache delta, stats)`` so
-the parent merges worker-computed entries (and their hit/miss counters)
-back into the shared — possibly store-backed — cache.
+  layer shapes and the final re-estimate of the selected mapping.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -51,7 +38,6 @@ from repro.estimator.latency import (
     estimate_layer,
     estimate_network,
 )
-from repro.estimator.vectorized import BatchLayerEstimator
 from repro.fpga.device import FpgaDevice
 from repro.fpga.resources import ResourceBudget
 from repro.ir.graph import Network
@@ -231,287 +217,29 @@ def _candidate_bounds(
     return bounds
 
 
-#: Per-process worker state of ``executor="process"`` (populated by the
-#: pool initializer — ProcessPoolExecutor workers can only receive
-#: one-time state that way, and re-pickling the network and candidate
-#: list per batch would dominate the work).
-_worker_state: dict = {}
 
 
-def _process_worker_init(payload) -> None:
-    """Install the evaluation payload in this pool worker.
-
-    ``payload`` is ``(device, network, cal, candidates, seed_entries,
-    estimator)`` where ``seed_entries`` is a parent-cache snapshot (or
-    ``None`` when the run is uncached).  The worker cache is warmed
-    from the snapshot, so a store-backed parent hands its persisted
-    entries to every worker for free.  ``estimator`` selects how this
-    worker evaluates its batches — the scalar per-layer model or one
-    :class:`BatchLayerEstimator` built lazily on the first batch and
-    reused for the worker's lifetime.
-    """
-    device, network, cal, candidates, seed_entries, estimator = payload
-    cache = None
-    if seed_entries is not None:
-        cache = EvaluationCache()
-        cache.warm(*seed_entries)
-    _worker_state.update(
-        device=device,
-        network=network,
-        cal=cal,
-        candidates=candidates,
-        cache=cache,
-        estimator=estimator,
-        batch_estimator=None,
-    )
-
-
-def _process_evaluate_batch(indices):
-    """Evaluate one batch of candidate indices in a pool worker.
-
-    Returns ``(items, estimates, partitions, stats)``: the feasible
-    ``(index, mapping, estimate)`` triples plus the worker cache's dirty
-    delta and counter delta for this batch (``None`` when uncached).
-    Everything crossing the process boundary is pickleable by value.
-    The vectorized estimator's offers land in the worker cache and ride
-    the same dirty delta home, so a store-backed parent persists a
-    process-vectorized run's results exactly like a serial one's.
-    """
-    device = _worker_state["device"]
-    network = _worker_state["network"]
-    cal = _worker_state["cal"]
-    candidates = _worker_state["candidates"]
-    cache = _worker_state["cache"]
-    before = cache.stats if cache is not None else None
-    items = []
-    if _worker_state["estimator"] == "vectorized":
-        batch_estimator = _worker_state["batch_estimator"]
-        if batch_estimator is None:
-            batch_estimator = BatchLayerEstimator(
-                device, network, cal=cal, cache=cache
-            )
-            _worker_state["batch_estimator"] = batch_estimator
-        batch = batch_estimator.map_candidates(
-            [candidates[index].cfg for index in indices]
-        )
-        for index, result in zip(indices, batch):
-            if result is not None:
-                items.append((index, result[0], result[1]))
-    else:
-        for index in indices:
-            try:
-                mapping, estimate = map_network(
-                    candidates[index].cfg, device, network, cal,
-                    cache=cache,
-                )
-            except DseError:
-                continue
-            items.append((index, mapping, estimate))
-    if cache is None:
-        return items, None, None, None
-    estimates, partitions = cache.take_dirty()
-    return items, estimates, partitions, cache.stats - before
-
-
-def run_dse(
+def _ranked(
     device: FpgaDevice,
     network: Network,
-    options: Optional[DseOptions] = None,
-    cal: Optional[CalibrationProfile] = None,
-    cache: Optional[EvaluationCache] = None,
-    candidates: Optional[List[HardwareCandidate]] = None,
-) -> DseResult:
-    """Full 3-step DSE; returns the best design point (with runners-up
-    in ``runners_up`` for inspection).
-
-    The cached / pruned / parallel paths (thread *and* process
-    executors) all reproduce the brute-force selection exactly —
-    including the ``top_k`` runner-up ranking — so
-    ``DseOptions(use_cache=False, prune=False, jobs=1)`` is only useful
-    as the reference the benchmarks compare against.
-    ``options.use_cache=False`` disables memoization even when a shared
-    ``cache`` is supplied.  ``candidates`` may carry a pre-enumerated
-    Step-1 result (it must match ``explore_hardware(device, options)``).
-    """
-    options = options or DseOptions()
-    if cal is None:
-        cal = get_calibration(device.name)
-    shared_cache = cache if options.use_cache else None
-    if not options.use_cache:
-        cache = None
-    elif cache is None:
-        cache = EvaluationCache()
-    stats_before = cache.stats if cache is not None else None
-    if candidates is None:
-        candidates = explore_hardware(device, options, cal)
-
-    bounds: Optional[List[float]] = None
-    if options.prune or options.best_first:
-        bounds = _candidate_bounds(
-            candidates, device, network, options.objective
-        )
-    order = list(range(len(candidates)))
-    if options.best_first:
-        assert bounds is not None
-        order.sort(key=lambda index: bounds[index])
-
-    # item: (objective, enumeration index, candidate, mapping, estimate)
+    candidates: List[HardwareCandidate],
     scored: List[Tuple[float, int, HardwareCandidate, NetworkMapping,
-                       NetworkEstimate]] = []
-    worst_of_top_k: List[float] = []  # max-heap (negated) of size <= top_k
-    pruned = 0
+                       NetworkEstimate]],
+    top_k: int,
+    pruned: int,
+    cache_stats: Optional[CacheStats],
+) -> DseResult:
+    """The best of ``scored`` with its ``top_k - 1`` runners-up.
 
-    def kth_best() -> float:
-        if len(worst_of_top_k) < options.top_k:
-            return math.inf
-        return -worst_of_top_k[0]
-
-    def prunable(index: int) -> bool:
-        # Strict inequality: a candidate tying the k-th best objective
-        # could still displace it on enumeration order, so it must be
-        # evaluated for the ranking to stay byte-identical.
-        return options.prune and bounds[index] > kth_best()
-
-    def evaluate(index: int):
-        candidate = candidates[index]
-        try:
-            mapping, estimate = map_network(
-                candidate.cfg, device, network, cal, cache=cache
-            )
-        except DseError:
-            return None
-        objective = _objective(estimate, options.objective)
-        return (objective, index, candidate, mapping, estimate)
-
-    def admit(item) -> None:
-        scored.append(item)
-        objective = item[0]
-        if len(worst_of_top_k) < options.top_k:
-            heapq.heappush(worst_of_top_k, -objective)
-        elif objective < -worst_of_top_k[0]:
-            heapq.heapreplace(worst_of_top_k, -objective)
-
-    if options.jobs > 1 and options.executor == "process":
-        # Candidate batches ship to worker processes; each worker runs
-        # the configured estimator (the vectorized one amortises its
-        # per-worker construction over bigger batches).  Merging in
-        # submission order keeps the selection — and a store-backed
-        # cache's first-writer entries — byte-identical to serial.
-        if options.estimator == "vectorized":
-            batch = (
-                max(64 * options.jobs, 1)
-                if options.prune else max(len(order), 1)
-            )
-        else:
-            batch = max(2 * options.jobs, 1)
-        payload = (
-            device, network, cal, candidates,
-            cache.snapshot_entries() if cache is not None else None,
-            options.estimator,
-        )
-        with ProcessPoolExecutor(
-            max_workers=options.jobs,
-            initializer=_process_worker_init,
-            initargs=(payload,),
-        ) as pool:
-            for start in range(0, len(order), batch):
-                survivors = []
-                for index in order[start:start + batch]:
-                    if prunable(index):
-                        pruned += 1
-                        continue
-                    survivors.append(index)
-                if not survivors:
-                    continue
-                chunk = -(-len(survivors) // options.jobs)
-                futures = [
-                    pool.submit(
-                        _process_evaluate_batch, survivors[i:i + chunk]
-                    )
-                    for i in range(0, len(survivors), chunk)
-                ]
-                # Merge in submission (enumeration) order so first-writer
-                # cache entries match the serial path's first encounter.
-                for future in futures:
-                    items, estimates, partitions, stats = future.result()
-                    if cache is not None and estimates is not None:
-                        cache.merge(estimates, partitions, stats)
-                    for index, mapping, estimate in items:
-                        admit((
-                            _objective(estimate, options.objective),
-                            index, candidates[index], mapping, estimate,
-                        ))
-    elif options.estimator == "vectorized":
-        # In-process candidate-batch evaluation: bounds/best-first
-        # still prune first, and only the survivors of each batch reach
-        # the numpy column math.  Pruning is checked per batch (exactly
-        # like the thread/process paths check it per submission batch),
-        # so the pruned *count* can differ from the serial scalar path
-        # while the selection — final sort included — stays
-        # byte-identical.
-        # Only a *caller-supplied* cache is threaded through: the batch
-        # estimator memoizes its own partitions and never re-reads
-        # estimates, so offers into the ephemeral internal cache would
-        # be pure key-hashing cost with no possible reader — a shared
-        # cache, by contrast, outlives the run (store flushes, later
-        # scalar lookups) and gets the selected rows offered into it.
-        batch_estimator = BatchLayerEstimator(
-            device, network, cal=cal, cache=shared_cache
-        )
-        step = 64 if options.prune else max(len(order), 1)
-        for start in range(0, len(order), step):
-            survivors = []
-            for index in order[start:start + step]:
-                if prunable(index):
-                    pruned += 1
-                    continue
-                survivors.append(index)
-            if not survivors:
-                continue
-            batch = batch_estimator.map_candidates(
-                [candidates[index].cfg for index in survivors]
-            )
-            for index, result in zip(survivors, batch):
-                if result is None:
-                    continue
-                mapping, estimate = result
-                admit((
-                    _objective(estimate, options.objective),
-                    index, candidates[index], mapping, estimate,
-                ))
-    elif options.jobs > 1:
-        batch = max(2 * options.jobs, 1)
-        with ThreadPoolExecutor(max_workers=options.jobs) as pool:
-            for start in range(0, len(order), batch):
-                submitted = []
-                for index in order[start:start + batch]:
-                    if prunable(index):
-                        pruned += 1
-                        continue
-                    submitted.append(pool.submit(evaluate, index))
-                for future in submitted:
-                    item = future.result()
-                    if item is not None:
-                        admit(item)
-    else:
-        for index in order:
-            if prunable(index):
-                pruned += 1
-                continue
-            item = evaluate(index)
-            if item is not None:
-                admit(item)
-
+    Items are ``(objective, enumeration index, candidate, mapping,
+    estimate)``; sorting on (objective, index) is the stable sort of
+    the exhaustive path, whatever order the items were evaluated in.
+    """
     if not scored:
         raise DseError(
             f"no candidate can run {network.name!r} on {device.name}"
         )
-    # (objective, enumeration index) replicates the stable sort of the
-    # brute-force path regardless of evaluation order.
     scored.sort(key=lambda item: (item[0], item[1]))
-    run_stats = (
-        cache.stats - stats_before if cache is not None else None
-    )
 
     def to_result(item, runners=()) -> DseResult:
         _, _, candidate, mapping, estimate = item
@@ -526,8 +254,99 @@ def run_dse(
             runners_up=tuple(runners),
             candidates_evaluated=len(scored),
             candidates_pruned=pruned,
-            cache_stats=run_stats,
+            cache_stats=cache_stats,
         )
 
-    runners = [to_result(item) for item in scored[1 : options.top_k]]
+    runners = [to_result(item) for item in scored[1:top_k]]
     return to_result(scored[0], runners)
+
+
+def exhaustive_dse(
+    device: FpgaDevice,
+    network: Network,
+    options: Optional[DseOptions] = None,
+    cal: Optional[CalibrationProfile] = None,
+) -> DseResult:
+    """Reference Step 3: every candidate through the uncached scalar
+    model, stably sorted by (objective, enumeration index).
+
+    No bound and no cache — the oracle :func:`run_dse` must equal,
+    runners-up included.
+    """
+    options = options or DseOptions()
+    if cal is None:
+        cal = get_calibration(device.name)
+    candidates = explore_hardware(device, options, cal)
+    scored = []
+    for index, candidate in enumerate(candidates):
+        try:
+            mapping, estimate = map_network(candidate.cfg, device, network, cal)
+        except DseError:
+            continue
+        objective = _objective(estimate, options.objective)
+        scored.append((objective, index, candidate, mapping, estimate))
+    return _ranked(device, network, candidates, scored, options.top_k, 0, None)
+
+
+def run_dse(
+    device: FpgaDevice,
+    network: Network,
+    options: Optional[DseOptions] = None,
+    cal: Optional[CalibrationProfile] = None,
+    cache: Optional[EvaluationCache] = None,
+    candidates: Optional[List[HardwareCandidate]] = None,
+) -> DseResult:
+    """Full 3-step DSE; returns the best design point (with runners-up
+    in ``runners_up`` for inspection).
+
+    Candidates are visited in stable ascending order of their
+    admissible objective bound and mapped through ``cache`` (a fresh
+    :class:`EvaluationCache` when none is given).  The first candidate
+    whose bound exceeds the current ``top_k``-th objective ends the
+    loop; it and every candidate after it count as pruned.  The result
+    equals :func:`exhaustive_dse` bit for bit.  ``candidates`` may carry
+    a pre-enumerated Step-1 result (it must match
+    ``explore_hardware(device, options)``).
+    """
+    options = options or DseOptions()
+    if cal is None:
+        cal = get_calibration(device.name)
+    if cache is None:
+        cache = EvaluationCache()
+    stats_before = cache.stats
+    if candidates is None:
+        candidates = explore_hardware(device, options, cal)
+
+    bounds = _candidate_bounds(candidates, device, network, options.objective)
+    order = sorted(range(len(candidates)), key=bounds.__getitem__)
+    scored = []
+    worst_of_top_k: List[float] = []  # max-heap (negated) of size <= top_k
+    pruned = 0
+    for position, index in enumerate(order):
+        # Strict inequality: a candidate tying the k-th best objective
+        # could still displace it on enumeration order, so it must be
+        # evaluated for the ranking to stay byte-identical.
+        if (
+            len(worst_of_top_k) == options.top_k
+            and bounds[index] > -worst_of_top_k[0]
+        ):
+            pruned = len(order) - position
+            break
+        candidate = candidates[index]
+        try:
+            mapping, estimate = map_network(
+                candidate.cfg, device, network, cal, cache=cache
+            )
+        except DseError:
+            continue
+        objective = _objective(estimate, options.objective)
+        scored.append((objective, index, candidate, mapping, estimate))
+        if len(worst_of_top_k) < options.top_k:
+            heapq.heappush(worst_of_top_k, -objective)
+        elif objective < -worst_of_top_k[0]:
+            heapq.heapreplace(worst_of_top_k, -objective)
+
+    return _ranked(
+        device, network, candidates, scored, options.top_k, pruned,
+        cache.stats - stats_before,
+    )

@@ -8,6 +8,8 @@ instance count ``NI`` then ranges up to ``instances-per-die x dies``
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
@@ -26,26 +28,17 @@ PARALLEL_FACTORS = (1, 2, 4, 8, 16, 32)
 #: Ranking objectives understood by Step 3.
 OBJECTIVES = ("throughput", "latency")
 
-#: Execution backends for ``jobs > 1`` candidate evaluation.
-EXECUTORS = ("serial", "thread", "process")
 
-#: Step-2/3 evaluation backends: the per-candidate scalar model or the
-#: numpy candidate-batch model (byte-identical selections either way).
-ESTIMATORS = ("scalar", "vectorized")
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
 class DseOptions:
     """Knobs of the exploration.
 
-    The evaluation knobs (``use_cache``, ``prune``, ``best_first``,
-    ``jobs``, ``executor``) change *how fast* Step 3 runs, never *what*
-    it selects:
-    every combination returns the brute-force design point and runner-up
-    ranking bit for bit.
-
-    Invalid combinations raise :class:`~repro.errors.DseError` at
-    construction time, not deep inside :func:`~repro.dse.engine.run_dse`.
+    Invalid values raise :class:`~repro.errors.DseError` at construction
+    time, not deep inside :func:`~repro.dse.engine.run_dse`.
     """
 
     max_instances: Optional[int] = None
@@ -55,74 +48,47 @@ class DseOptions:
     objective: str = "throughput"  # "throughput" | "latency"
     buffer_presets: Optional[Tuple[int, int, int]] = None
     top_k: int = 5
-    use_cache: bool = True  # memoize per-layer estimates
-    prune: bool = True  # skip candidates that cannot reach the top_k
-    best_first: bool = False  # evaluate in lower-bound order
-    jobs: int = 1  # parallel candidate evaluations
-    #: "serial" | "thread" | "process" — how ``jobs > 1`` evaluations
-    #: run.  "serial" with ``jobs > 1`` auto-upgrades to "thread" (the
-    #: pre-executor behaviour); "process" ships pickled candidate
-    #: batches to a ProcessPoolExecutor, which scales on GIL builds.
-    executor: str = "serial"
-    #: "scalar" | "vectorized" — how Step 2/3 evaluates candidates.
-    #: "vectorized" batches surviving candidates through
-    #: :class:`repro.estimator.vectorized.BatchLayerEstimator` (numpy
-    #: column math, byte-identical selection).  With ``jobs > 1`` it
-    #: requires the process executor: candidate batches ship to worker
-    #: processes that each run the numpy path ("serial" auto-upgrades
-    #: to "process"; "thread" is rejected — the batch math holds the
-    #: GIL, so threads serialise it).
-    estimator: str = "scalar"
 
     def __post_init__(self) -> None:
-        if self.estimator not in ESTIMATORS:
-            raise DseError(
-                f"unknown estimator {self.estimator!r}; "
-                f"expected one of {ESTIMATORS}"
-            )
-        if self.executor not in EXECUTORS:
-            raise DseError(
-                f"unknown executor {self.executor!r}; "
-                f"expected one of {EXECUTORS}"
-            )
-        if self.estimator == "vectorized" and self.jobs > 1 and (
-            self.executor == "thread"
-        ):
-            raise DseError(
-                "estimator='vectorized' with jobs > 1 requires "
-                "executor='process': the numpy batch math holds the "
-                "GIL, so a thread pool would serialise it"
-            )
-        if self.jobs > 1 and self.executor == "serial":
-            upgraded = (
-                "process" if self.estimator == "vectorized" else "thread"
-            )
-            object.__setattr__(self, "executor", upgraded)
         if self.objective not in OBJECTIVES:
             raise DseError(
                 f"unknown objective {self.objective!r}; "
                 f"expected one of {OBJECTIVES}"
             )
-        if self.top_k < 1:
-            raise DseError(f"top_k must be >= 1, got {self.top_k}")
-        if self.max_instances is not None and self.max_instances < 1:
-            raise DseError(
-                f"max_instances must be >= 1, got {self.max_instances}"
-            )
-        if self.jobs < 1:
-            raise DseError(f"jobs must be >= 1, got {self.jobs}")
-        if self.frequency_mhz is not None and self.frequency_mhz <= 0:
-            raise DseError(
-                f"frequency_mhz must be positive, got {self.frequency_mhz}"
-            )
-        if self.data_width <= 0 or self.weight_width <= 0:
-            raise DseError("data/weight widths must be positive")
-        if self.buffer_presets is not None and (
-            len(self.buffer_presets) != 3
-            or any(size <= 0 for size in self.buffer_presets)
+        if not _is_int(self.top_k) or self.top_k < 1:
+            raise DseError(f"top_k must be an integer >= 1, got {self.top_k!r}")
+        if self.max_instances is not None and (
+            not _is_int(self.max_instances) or self.max_instances < 1
         ):
             raise DseError(
-                "buffer_presets must be three positive sizes "
+                "max_instances must be an integer >= 1, "
+                f"got {self.max_instances!r}"
+            )
+        if self.frequency_mhz is not None and (
+            isinstance(self.frequency_mhz, bool)
+            or not isinstance(self.frequency_mhz, numbers.Real)
+            or not math.isfinite(self.frequency_mhz)
+            or self.frequency_mhz <= 0
+        ):
+            raise DseError(
+                "frequency_mhz must be a finite positive number, "
+                f"got {self.frequency_mhz!r}"
+            )
+        for name in ("data_width", "weight_width"):
+            width = getattr(self, name)
+            if not _is_int(width) or width <= 0:
+                raise DseError(
+                    f"{name} must be a positive integer, got {width!r}"
+                )
+        if self.buffer_presets is not None and (
+            len(self.buffer_presets) != 3
+            or any(
+                not _is_int(size) or size <= 0
+                for size in self.buffer_presets
+            )
+        ):
+            raise DseError(
+                "buffer_presets must be three positive integer sizes "
                 f"(input, weight, output), got {self.buffer_presets!r}"
             )
 

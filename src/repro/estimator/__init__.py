@@ -23,10 +23,8 @@ from repro.estimator.latency import (
     estimate_network,
 )
 from repro.estimator.power import PowerEstimate, estimate_power
-from repro.estimator.vectorized import BatchLayerEstimator
 
 __all__ = [
-    "BatchLayerEstimator",
     "CalibrationProfile",
     "LayerEstimate",
     "NetworkEstimate",

@@ -152,9 +152,7 @@ def estimate_layer(
     — :meth:`repro.pipeline.cache.EvaluationCache.estimate` keeps
     ``cal`` in its memo key so a future calibrated latency term can
     never read stale persisted entries — and every call site threads
-    the session's profile through uniformly.  The batch API
-    (:class:`repro.estimator.vectorized.BatchLayerEstimator`) does not
-    inherit the dead argument: its estimation methods take no ``cal``.
+    the session's profile through uniformly.
 
     ``partition`` may carry a precomputed
     :class:`~repro.mapping.partition.LayerPartition` for this

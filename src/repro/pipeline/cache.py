@@ -36,10 +36,8 @@ paths return byte-identical results.
 Entries are plain ``(value, error, from_name)`` triples of frozen
 dataclasses and :class:`~repro.errors.ReproError` instances, so they are
 pickleable by value.  That is what lets a cache be **warmed** from an
-on-disk :class:`~repro.pipeline.store.EvaluationStore`, hand its *dirty
-delta* (entries computed since the last flush) back to the store, ship
-entry snapshots to process-pool DSE workers, and **merge** the deltas
-those workers return.
+on-disk :class:`~repro.pipeline.store.EvaluationStore` and hand its
+*dirty delta* (entries computed since the last flush) back to the store.
 """
 
 from __future__ import annotations
@@ -86,7 +84,7 @@ def _relabel(error: ReproError, from_name: str, to_name: str) -> ReproError:
     Error messages start with the originating layer's name; on a
     shape-deduplicated hit the stored name is swapped for the requested
     one.  A new exception instance is raised every time so concurrent
-    workers never share (and mutate) one object's traceback.
+    callers never share (and mutate) one object's traceback.
     """
     message = str(error)
     if from_name != to_name:
@@ -161,10 +159,10 @@ class CacheStats:
 class EvaluationCache:
     """Memoizes :func:`repro.estimator.latency.estimate_layer`.
 
-    Thread-safe: entries are plain dict items written under a lock, so a
-    cache may be shared by the parallel DSE workers.  Two workers racing
-    on the same key at worst compute the entry twice; both arrive at the
-    identical value, so correctness is unaffected.
+    Thread-safe: entries are plain dict items written under a lock, so
+    one cache may be shared by sessions running on different threads.
+    Two threads racing on the same key at worst compute the entry twice;
+    both arrive at the identical value, so correctness is unaffected.
     """
 
     def __init__(self) -> None:
@@ -177,7 +175,7 @@ class EvaluationCache:
         self._part_misses = 0
         self._dedup_hits = 0
         self._error_entries = 0  # error-valued estimate entries (O(1) stats)
-        # Keys inserted by computation or merge since the last
+        # Keys inserted by computation since the last
         # take_dirty() — the delta an EvaluationStore persists.  Warmed
         # keys are deliberately absent: they came *from* the store.
         self._dirty_estimates = set()
@@ -281,50 +279,6 @@ class EvaluationCache:
             self._dirty_estimates.add(key)
         return estimate
 
-    def offer_estimate(
-        self,
-        cfg: AcceleratorConfig,
-        device: FpgaDevice,
-        info: LayerInfo,
-        mode: str,
-        dataflow: str,
-        estimate: LayerEstimate,
-        cal: Optional[CalibrationProfile] = None,
-        fused_pool: int = 1,
-        signature: Optional[tuple] = None,
-    ) -> bool:
-        """Insert an externally computed estimate (the vectorized DSE
-        path materialises its selected rows through here).
-
-        The key matches :meth:`estimate`'s exactly, so offered rows are
-        indistinguishable from computed ones to later lookups, to
-        :meth:`take_dirty`/store flushes and to process-worker
-        snapshots.  Present keys win (first writer, like :meth:`warm`
-        and :meth:`merge`); counters are untouched — an offer is
-        neither a hit nor a miss.  Returns ``True`` when inserted.
-
-        ``signature`` may carry a precomputed
-        ``layer_signature(info, fused_pool)`` — the signature is
-        per-layer, not per-candidate, so batch callers amortise it
-        across hundreds of offers.
-        """
-        key = (
-            signature if signature is not None
-            else layer_signature(info, fused_pool),
-            cfg,
-            device.name,
-            device.memory,
-            mode,
-            dataflow,
-            cal,
-        )
-        with self._lock:
-            if key in self._estimates:
-                return False
-            self._estimates[key] = (estimate, None, estimate.layer_name)
-            self._dirty_estimates.add(key)
-            return True
-
     @property
     def stats(self) -> CacheStats:
         with self._lock:
@@ -371,7 +325,7 @@ class EvaluationCache:
         return added
 
     def take_dirty(self) -> Tuple[dict, dict]:
-        """Entries computed or merged since the last call (and un-dirty
+        """Entries computed since the last call (and un-dirty
         them) — the delta an :class:`EvaluationStore` flush persists."""
         with self._lock:
             estimates = {
@@ -399,45 +353,6 @@ class EvaluationCache:
             )
 
     def snapshot_entries(self) -> Tuple[dict, dict]:
-        """Shallow copies of both memo levels (for seeding workers)."""
+        """Shallow copies of both memo levels."""
         with self._lock:
             return dict(self._estimates), dict(self._partitions)
-
-    def merge(
-        self,
-        estimates: dict,
-        partitions: dict,
-        stats: Optional[CacheStats] = None,
-    ) -> int:
-        """Absorb a worker's cache delta; returns entries added.
-
-        New keys are inserted *dirty* (they were computed, just in
-        another process, so a store flush must see them); present keys
-        win exactly as in :meth:`warm`.  ``stats`` — the worker's
-        counter delta — is accumulated so process-pool runs report
-        honest hit/miss totals.  (They can differ slightly from a
-        single-process run's: workers that independently derive the
-        same shared key each count a miss where one thread would have
-        hit.  Entries and selections are unaffected.)
-        """
-        added = 0
-        with self._lock:
-            for key, entry in estimates.items():
-                if key not in self._estimates:
-                    self._estimates[key] = entry
-                    self._dirty_estimates.add(key)
-                    if entry[1] is not None:
-                        self._error_entries += 1
-                    added += 1
-            for key, entry in partitions.items():
-                if key not in self._partitions:
-                    self._partitions[key] = entry
-                    self._dirty_partitions.add(key)
-                    added += 1
-            if stats is not None:
-                self._hits += stats.hits
-                self._misses += stats.misses
-                self._part_hits += stats.partition_hits
-                self._part_misses += stats.partition_misses
-                self._dedup_hits += stats.shape_dedup_hits
-        return added

@@ -6,9 +6,8 @@
    :class:`DeviceKind`: the paper configuration of the device (or a DSE
    pick for non-paper devices), a pinned
    :class:`~repro.pipeline.session.PipelineSession`, the analytical
-   Eq. 12-15 latency (one vectorized
-   :class:`~repro.estimator.vectorized.BatchLayerEstimator` call per
-   cfg, memoized through the shared
+   Eq. 12-15 latency (the pinned session's scalar estimate, memoized
+   through the shared
    :class:`~repro.pipeline.cache.EvaluationCache` and any
    :class:`~repro.pipeline.store.EvaluationStore` behind it) and the
    simulated per-image probe the admissible bounds need;
@@ -39,7 +38,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.compiler import CompilerOptions
 from repro.errors import DeviceError, PlanningError
-from repro.estimator.vectorized import BatchLayerEstimator
 from repro.fpga import FpgaDevice, get_device
 from repro.ir.graph import Network
 from repro.pipeline.cache import EvaluationCache
@@ -160,9 +158,10 @@ def resolve_kinds(
 
     Paper devices (``vu9p``, ``pynq-z1``) pin the Table-4 config; any
     other catalog device runs its DSE through the same cache.  Each
-    cfg's analytical latency comes from one vectorized
-    ``map_candidates`` call, memoized through the cache so a
-    store-backed run never recomputes it.
+    cfg's analytical latency is the pinned session's estimate, memoized
+    through the cache so a store-backed run never recomputes it; a cfg
+    that maps no feasible (mode, dataflow) for some layer raises
+    :class:`~repro.errors.DseError`.
     """
     cache = cache if cache is not None else EvaluationCache()
     if isinstance(store, (str, Path)):
@@ -182,16 +181,7 @@ def resolve_kinds(
             network, device, cfg, spec.weight, seed,
             cache=cache, store=store,
         )
-        estimator = BatchLayerEstimator(
-            device, network, cal=kind.session.calibration, cache=cache
-        )
-        mapped = estimator.map_candidates([cfg])[0]
-        if mapped is None:
-            raise PlanningError(
-                f"{device.name}: the resolved config maps no feasible "
-                "(mode, dataflow) for some layer"
-            )
-        kind.analytical_latency_s = mapped[1].latency
+        kind.analytical_latency_s = kind.session.estimate().latency
         kinds.append(kind)
     return kinds
 

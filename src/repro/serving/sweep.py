@@ -8,8 +8,7 @@ them.  :func:`run_sweep` executes a :class:`SweepGrid` under
 survival fractions into a :class:`SweepReport` whose JSON form is
 consumable by ``benchmarks/append_trajectory.py``.
 
-Parallelism reuses the DSE engine's process-pool pattern
-(``DseOptions.executor="process"``): workers are primed once via a
+Parallelism is a process pool whose workers are primed once via a
 pool initializer with a picklable payload — the network, device and
 *resolved* config, so no worker re-runs the DSE — and each cell runs a
 complete, independent simulation in whatever process picks it up.
@@ -17,8 +16,7 @@ Determinism is preserved by construction: a cell's result depends only
 on the cell (its seed is ``base seed + cell index``), results carry no
 wall-clock fields, and the parent reassembles them in grid order — so
 ``executor="process"`` produces byte-identical report JSON to
-``executor="serial"`` (a tier-1 test pins this, mirroring the DSE
-equivalence test).
+``executor="serial"`` (a tier-1 test pins this).
 """
 
 from __future__ import annotations

@@ -1,14 +1,21 @@
 """Hypothesis properties of the DSE: the search must stay inside the
-Table-2 constraint set and behave monotonically in its options."""
+Table-2 constraint set, behave monotonically in its options, and rank
+exactly like the exhaustive reference."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dse import explore_hardware, run_dse
+from repro.dse import exhaustive_dse, explore_hardware, run_dse
 from repro.dse.space import DseOptions
-from repro.fpga import get_device
+from repro.errors import DseError
+from repro.fpga import DEVICES, get_device
 from repro.ir import zoo
+
+
+def _ranking(result):
+    return [
+        (r.cfg, r.mapping, r.estimate) for r in (result, *result.runners_up)
+    ]
 
 
 @settings(max_examples=10, deadline=None)
@@ -69,8 +76,56 @@ def test_dse_deterministic():
     net = zoo.tiny_cnn(input_size=32)
     a = run_dse(device, net)
     b = run_dse(device, net)
-    assert a.cfg == b.cfg
-    assert [(m.layer_name, m.mode, m.dataflow) for m in a.mapping] == [
-        (m.layer_name, m.mode, m.dataflow) for m in b.mapping
-    ]
-    assert a.estimate.latency == pytest.approx(b.estimate.latency)
+    assert _ranking(a) == _ranking(b)
+
+
+_NETWORKS = st.one_of(
+    st.sampled_from([zoo.tiny_cnn, zoo.tiny_mlp]).map(lambda build: build()),
+    st.builds(
+        zoo.single_conv,
+        channels_in=st.integers(1, 64),
+        channels_out=st.integers(1, 64),
+        feature_size=st.integers(8, 32),
+        kernel_size=st.sampled_from([1, 3, 5]),
+        stride=st.integers(1, 2),
+        padding=st.integers(0, 1),
+    ),
+)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    device_name=st.sampled_from(sorted(DEVICES)),
+    network=_NETWORKS,
+    objective=st.sampled_from(["throughput", "latency"]),
+    top_k=st.integers(1, 6),
+    max_instances=st.one_of(st.none(), st.integers(1, 4)),
+    buffer_presets=st.one_of(
+        st.none(),
+        st.sampled_from([(8192, 4096, 4096), (32768, 16384, 16384)]),
+    ),
+)
+def test_ranking_equals_exhaustive_reference(
+    device_name, network, objective, top_k, max_instances, buffer_presets
+):
+    """Bound-ordered Step 3 returns the exhaustive ranking, runners-up
+    included, and never counts a candidate twice."""
+    device = get_device(device_name)
+    options = DseOptions(
+        objective=objective, top_k=top_k, max_instances=max_instances,
+        buffer_presets=buffer_presets,
+    )
+    try:
+        reference = exhaustive_dse(device, network, options)
+    except DseError:
+        try:
+            run_dse(device, network, options)
+        except DseError:
+            return
+        raise AssertionError("run_dse found a design the reference did not")
+    result = run_dse(device, network, options)
+    assert _ranking(result) == _ranking(reference)
+    assert (
+        result.candidates_evaluated + result.candidates_pruned
+        <= result.candidates_considered
+    )

@@ -128,3 +128,14 @@ class TestNetworkEstimate:
         mapping = NetworkMapping.uniform(net, "spat", "ws")
         est = estimate_network(cfg_pt6, vu9p, net, mapping)
         assert est.gops > 0
+
+
+def test_scalar_estimate_ignores_cal(cfg_pt6, vu9p):
+    """estimate_layer accepts-and-ignores cal: any profile, same bits."""
+    from repro.estimator.calibration import get_calibration
+
+    info = zoo.tiny_cnn().compute_layers()[0]
+    base = estimate_layer(cfg_pt6, vu9p, info, "spat", "ws")
+    for cal in (None, get_calibration("generic"),
+                get_calibration(vu9p.name)):
+        assert estimate_layer(cfg_pt6, vu9p, info, "spat", "ws", cal) == base

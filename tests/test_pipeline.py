@@ -1,12 +1,20 @@
-"""Tests for repro.pipeline — evaluation cache, pruned/parallel DSE
-equivalence, and the PipelineSession facade."""
+"""Tests for repro.pipeline — evaluation cache, bound-ordered DSE
+equivalence with the exhaustive reference, and the PipelineSession
+facade."""
 
 import gc
 import weakref
+from dataclasses import fields
 
 import pytest
 
-from repro.dse import latency_lower_bound, map_network, objective_lower_bound, run_dse
+from repro.dse import (
+    exhaustive_dse,
+    latency_lower_bound,
+    map_network,
+    objective_lower_bound,
+    run_dse,
+)
 from repro.dse.space import DseOptions, explore_hardware
 from repro.errors import DseError, ReproError
 from repro.estimator.calibration import get_calibration
@@ -201,31 +209,25 @@ class TestPruneBound:
     @pytest.mark.parametrize("objective", ["throughput", "latency"])
     def test_bandwidth_bound_equivalence(self, pynq, objective):
         """Pruning with the tightened bound keeps the selection *and*
-        the runner-up ranking byte-identical to brute force."""
+        the runner-up ranking byte-identical to the exhaustive
+        reference."""
         network = zoo.tiny_mlp()  # memory-bound: the new terms do prune
-        seed = run_dse(
-            pynq, network,
-            DseOptions(objective=objective, use_cache=False, prune=False),
-        )
-        fast = run_dse(
-            pynq, network,
-            DseOptions(objective=objective, prune=True, best_first=True),
-        )
+        options = DseOptions(objective=objective)
+        seed = exhaustive_dse(pynq, network, options)
+        fast = run_dse(pynq, network, options)
         assert fast.candidates_pruned > 0
-        assert _design_point(fast) == _design_point(seed)
-        assert [_design_point(r) for r in fast.runners_up] == [
-            _design_point(r) for r in seed.runners_up
-        ]
+        assert _ranking(fast) == _ranking(seed)
 
 
-# -- DSE equivalence: cached / pruned / parallel vs brute force ------------
-
-
-BRUTE_FORCE = DseOptions(use_cache=False, prune=False)
+# -- DSE equivalence: bound-ordered, cached vs the exhaustive reference ----
 
 
 def _design_point(result):
     return result.cfg, result.mapping, result.estimate
+
+
+def _ranking(result):
+    return [_design_point(r) for r in (result, *result.runners_up)]
 
 
 class TestDseEquivalence:
@@ -234,25 +236,17 @@ class TestDseEquivalence:
     )
     def test_pipeline_matches_brute_force_on_zoo(self, pynq, model):
         network = zoo.get_model(model)
-        seed = run_dse(pynq, network, BRUTE_FORCE)
-        fast = run_dse(
-            pynq, network,
-            DseOptions(use_cache=True, prune=True, best_first=True, jobs=2),
-        )
-        assert _design_point(fast) == _design_point(seed)
-        assert [_design_point(r) for r in fast.runners_up] == [
-            _design_point(r) for r in seed.runners_up
-        ]
+        seed = exhaustive_dse(pynq, network)
+        fast = run_dse(pynq, network)
+        assert _ranking(fast) == _ranking(seed)
+        assert seed.cache_stats is None and seed.candidates_pruned == 0
 
     def test_vgg16_full_sweep_vu9p(self, vu9p):
         network = zoo.vgg16()
-        seed = run_dse(vu9p, network,
-                       DseOptions(frequency_mhz=167, **_brute_kwargs()))
-        fast = run_dse(
-            vu9p, network,
-            DseOptions(frequency_mhz=167, best_first=True, jobs=2),
-        )
-        assert _design_point(fast) == _design_point(seed)
+        options = DseOptions(frequency_mhz=167)
+        seed = exhaustive_dse(vu9p, network, options)
+        fast = run_dse(vu9p, network, options)
+        assert _ranking(fast) == _ranking(seed)
         assert fast.candidates_considered == seed.candidates_considered
         assert fast.candidates_pruned > 0
         assert fast.cache_stats is not None
@@ -260,22 +254,31 @@ class TestDseEquivalence:
 
     def test_latency_objective_equivalence(self, pynq):
         network = zoo.tiny_cnn(input_size=32)
-        options = dict(objective="latency", top_k=3)
-        seed = run_dse(pynq, network, DseOptions(**options, **_brute_kwargs()))
-        fast = run_dse(pynq, network, DseOptions(**options, best_first=True))
-        assert _design_point(fast) == _design_point(seed)
-        assert [_design_point(r) for r in fast.runners_up] == [
-            _design_point(r) for r in seed.runners_up
-        ]
+        options = DseOptions(objective="latency", top_k=3)
+        seed = exhaustive_dse(pynq, network, options)
+        fast = run_dse(pynq, network, options)
+        assert _ranking(fast) == _ranking(seed)
 
-    def test_use_cache_false_wins_over_explicit_cache(self, pynq):
-        network = zoo.tiny_cnn(input_size=32)
-        cache = EvaluationCache()
-        result = run_dse(
-            pynq, network, DseOptions(use_cache=False), cache=cache
+    def test_pruned_candidates_are_the_bound_order_tail(self, vu9p):
+        """Every pruned candidate's bound exceeds the k-th best
+        objective, and every candidate is counted at most once."""
+        from repro.dse.engine import _candidate_bounds
+
+        network = zoo.tiny_cnn()
+        options = DseOptions(top_k=3)
+        result = run_dse(vu9p, network, options)
+        candidates = explore_hardware(vu9p, options)
+        bounds = sorted(
+            _candidate_bounds(candidates, vu9p, network, options.objective)
         )
-        assert result.cache_stats is None
-        assert cache.stats.lookups == 0  # cache untouched
+        kth = -(result.runners_up[-1].throughput_gops)
+        tail = bounds[len(bounds) - result.candidates_pruned:]
+        assert result.candidates_pruned > 0
+        assert all(bound > kth for bound in tail)
+        assert (
+            result.candidates_evaluated + result.candidates_pruned
+            <= result.candidates_considered
+        )
 
     def test_precomputed_candidates(self, pynq):
         from repro.dse import explore_hardware
@@ -316,10 +319,6 @@ class TestDseEquivalence:
         assert plain == cached
 
 
-def _brute_kwargs():
-    return dict(use_cache=False, prune=False)
-
-
 # -- eager DseOptions validation -------------------------------------------
 
 
@@ -336,10 +335,6 @@ class TestDseOptionsValidation:
         with pytest.raises(DseError):
             DseOptions(max_instances=0)
 
-    def test_non_positive_jobs(self):
-        with pytest.raises(DseError):
-            DseOptions(jobs=0)
-
     def test_bad_frequency(self):
         with pytest.raises(DseError):
             DseOptions(frequency_mhz=-100.0)
@@ -348,9 +343,35 @@ class TestDseOptionsValidation:
         with pytest.raises(DseError):
             DseOptions(buffer_presets=(1024, 0, 1024))
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(top_k=2.5),
+            dict(top_k=True),
+            dict(max_instances=1.5),
+            dict(max_instances=False),
+            dict(frequency_mhz=float("nan")),
+            dict(frequency_mhz=float("inf")),
+            dict(frequency_mhz="167"),
+            dict(data_width=8.5),
+            dict(weight_width=True),
+            dict(data_width=0),
+            dict(buffer_presets=(1024.0, 512, 512)),
+            dict(buffer_presets=(1024, 512)),
+        ],
+        ids=repr,
+    )
+    def test_rejects_invalid_at_construction(self, kwargs):
+        with pytest.raises(DseError):
+            DseOptions(**kwargs)
+
     def test_valid_options_construct(self):
-        options = DseOptions(jobs=4, top_k=1, best_first=True)
-        assert options.jobs == 4
+        options = DseOptions(
+            top_k=1, max_instances=2, frequency_mhz=166.7,
+            buffer_presets=(8192, 4096, 4096),
+        )
+        assert options.top_k == 1
+        assert len(fields(DseOptions)) == 7
 
 
 # -- NetworkEstimate memoization -------------------------------------------

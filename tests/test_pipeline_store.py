@@ -1,14 +1,14 @@
 """Tests for repro.pipeline.store — on-disk persistence of the
-evaluation cache — and the process-pool DSE executor."""
+evaluation cache — and DSE runs backed by it."""
 
 import pickle
 import zlib
 
 import pytest
 
-from repro.dse import run_dse
+from repro.dse import exhaustive_dse, run_dse
 from repro.dse.space import DseOptions
-from repro.errors import DseError, ReproError
+from repro.errors import ReproError
 from repro.estimator.calibration import get_calibration
 from repro.ir import zoo
 from repro.pipeline import EvaluationCache, EvaluationStore, PipelineSession
@@ -247,83 +247,35 @@ class TestSessionStore:
         assert session.close() == 0
 
 
-# -- process executor -------------------------------------------------------
+# -- store-backed DSE -------------------------------------------------------
 
 
-def _design_point(result):
-    return result.cfg, result.mapping, result.estimate
+def _ranking(result):
+    return [
+        (r.cfg, r.mapping, r.estimate) for r in (result, *result.runners_up)
+    ]
 
 
-class TestProcessExecutor:
+class TestStoreBackedDse:
     @pytest.mark.parametrize("model", ["tiny_cnn", "tiny_mlp"])
-    def test_matches_brute_force(self, pynq, model):
+    def test_warm_run_matches_exhaustive_reference(self, tmp_path, pynq,
+                                                   model):
         network = zoo.get_model(model)
-        seed = run_dse(pynq, network, DseOptions(use_cache=False,
-                                                 prune=False))
-        proc = run_dse(
-            pynq, network,
-            DseOptions(jobs=2, executor="process", best_first=True),
-        )
-        assert _design_point(proc) == _design_point(seed)
-        assert [_design_point(r) for r in proc.runners_up] == [
-            _design_point(r) for r in seed.runners_up
-        ]
+        with PipelineSession(network, pynq, store=tmp_path) as session:
+            session.dse()
+        warm = PipelineSession(network, pynq, store=tmp_path)
+        assert _ranking(warm.dse()) == _ranking(exhaustive_dse(pynq, network))
+        assert warm.cache_stats.misses == 0
 
-    def test_uncached_process_run_matches(self, pynq):
-        network = zoo.tiny_cnn(input_size=32)
-        seed = run_dse(pynq, network, DseOptions(use_cache=False,
-                                                 prune=False))
-        proc = run_dse(
-            pynq, network,
-            DseOptions(jobs=2, executor="process", use_cache=False,
-                       prune=False),
-        )
-        assert _design_point(proc) == _design_point(seed)
-        assert proc.cache_stats is None
-
-    def test_worker_deltas_merge_into_parent_cache(self, pynq):
+    def test_computed_entries_are_dirty(self, pynq):
         network = zoo.tiny_cnn(input_size=32)
         cache = EvaluationCache()
-        run_dse(
-            pynq, network,
-            DseOptions(jobs=2, executor="process", prune=False),
-            cache=cache,
-        )
+        run_dse(pynq, network, DseOptions(), cache=cache)
         assert len(cache) > 0
-        # Merged entries are dirty: a store flush would persist them.
+        # Every computed entry is dirty: a store flush would persist it.
         estimates, partitions = cache.take_dirty()
         assert len(estimates) == len(cache)
         assert len(partitions) > 0
-
-    def test_process_run_can_persist_through_store(self, tmp_path, pynq):
-        network = zoo.tiny_cnn(input_size=32)
-        options = DseOptions(jobs=2, executor="process", prune=False)
-        with PipelineSession(network, pynq, options,
-                             store=tmp_path) as session:
-            cold = session.dse()
-        warm_session = PipelineSession(network, pynq, options,
-                                       store=tmp_path)
-        warm = warm_session.dse()
-        assert _design_point(warm) == _design_point(cold)
-        # Workers are seeded from the warmed parent cache: no recompute,
-        # so nothing new to flush.
-        assert warm_session.close() == 0
-
-
-class TestExecutorOption:
-    def test_serial_with_jobs_upgrades_to_thread(self):
-        assert DseOptions(jobs=2).executor == "thread"
-        assert DseOptions(jobs=2, executor="thread").executor == "thread"
-
-    def test_serial_default(self):
-        assert DseOptions().executor == "serial"
-
-    def test_process_kept(self):
-        assert DseOptions(jobs=2, executor="process").executor == "process"
-
-    def test_unknown_executor_rejected(self):
-        with pytest.raises(DseError):
-            DseOptions(executor="gpu")
 
 
 # -- CLI --------------------------------------------------------------------
@@ -341,12 +293,3 @@ class TestCliCacheDir:
         assert main(argv) == 0  # second invocation starts warm
         second = capsys.readouterr().out
         assert "100.0%" in second  # estimate hit rate served from disk
-
-    def test_dse_process_executor(self, capsys):
-        from repro.cli import main
-
-        assert main([
-            "dse", "--model", "tiny_cnn", "--device", "pynq-z1",
-            "--jobs", "2", "--executor", "process",
-        ]) == 0
-        assert "PI=" in capsys.readouterr().out
