@@ -52,6 +52,25 @@ never compared.  Events are ``slots=True`` dataclasses (no per-event
 back to the heap only when a handler schedules an event that must
 interleave with the batch.  None of this changes the event trace: the
 determinism tests pin pop order across both code paths.
+
+Open-loop arrivals are *fed*, not pushed: :meth:`EventKernel.feed`
+takes a time-ordered stream of one event kind, reserves for every
+event the sequence number a per-event :meth:`~EventKernel.push` would
+have given it, counts the whole stream in :meth:`~EventKernel.pending`
+at once, and keeps only the stream's head on the heap — the next event
+is drawn from the stream (and only then materialised) when the head
+dispatches.  A successor always sorts after its predecessor, so the
+pop order is exactly that of pushing the stream up front, while the
+heap stays as small as the *reactive* work in flight (completions,
+wakeups, ticks) instead of holding every future arrival of a
+100k-request trace.
+
+Completions carry what their consumers read and nothing more: a
+:class:`BatchDone` holds the round's :class:`~repro.serving.traffic.Request`
+objects plus the batch's shared dispatch/start instants, and the
+server writes them straight into per-run record columns (see
+``repro.serving.server``) — no per-request row object is built while
+the kernel runs.
 """
 
 from __future__ import annotations
@@ -63,6 +82,8 @@ from typing import (
     Callable,
     ClassVar,
     Dict,
+    Iterable,
+    Iterator,
     List,
     Optional,
     Type,
@@ -71,7 +92,6 @@ from typing import (
 from repro.errors import ServingError
 
 if TYPE_CHECKING:  # pragma: no cover - type-only, avoids a cycle
-    from repro.serving.metrics import RequestRecord
     from repro.serving.traffic import Request
 
 
@@ -135,15 +155,22 @@ class BatchDone(Event):
 
     A batch of ``batch_size`` images round-robins over a shard's NI
     instances, so it completes in rounds: one ``BatchDone`` is emitted
-    per round, carrying the records that finish at that instant
-    (``final`` marks the last round).  ``busy_delta`` is the busy time
-    the shard accrued since the previous round — summed over a batch's
-    rounds it equals the batch makespan, and a mid-batch kill then
-    counts exactly the work that actually completed.
+    per round, carrying the ``requests`` that finish at that instant
+    (``final`` marks the last round).  Every request of a round shares
+    its lifecycle: the batch was ``dispatched`` and ``started`` at the
+    same instants and each request completes at ``time`` — so a
+    request's latency is ``time - request.arrival``, and the server
+    writes its record columns from these fields directly.
+    ``busy_delta`` is the busy time the shard accrued since the
+    previous round — summed over a batch's rounds it equals the batch
+    makespan, and a mid-batch kill then counts exactly the work that
+    actually completed.
     """
 
     shard: str = ""
-    records: List["RequestRecord"] = field(default_factory=list)
+    requests: List["Request"] = field(default_factory=list)
+    dispatched: float = 0.0
+    started: float = 0.0
     busy_delta: float = 0.0
     batch_size: int = 0
     first: bool = False
@@ -212,6 +239,65 @@ class _Entry:
         self.popped = False
 
 
+class _Stream(_Entry):
+    """A fed run of events of one kind (see :meth:`EventKernel.feed`).
+
+    The stream is its own heap handle: only its head is on the heap,
+    under the sequence number a per-event ``push`` would have given
+    it, and :meth:`advance` swaps the next event in when the head
+    dispatches.  Successors carry ascending sequence numbers and
+    nondecreasing times, so each one sorts after its predecessor and
+    the pop order is exactly that of pushing the whole stream up
+    front."""
+
+    __slots__ = ("_events", "_kind", "_priority", "_seq", "_left")
+
+    def __init__(
+        self,
+        events: Iterator[Event],
+        count: int,
+        kind: Type[Event],
+        seq: int,
+        now: float,
+    ):
+        # Until the first advance, ``event`` only marks ``now``: the
+        # instant no fed event may precede.
+        super().__init__(Event(now))
+        self._events = events
+        self._kind = kind
+        self._priority = kind.priority
+        self._seq = seq
+        self._left = count
+
+    def advance(self, heap: List[tuple]) -> None:
+        """Put the next event of the stream on ``heap`` (no-op once the
+        stream is exhausted)."""
+        if not self._left:
+            return
+        previous = self.event.time
+        try:
+            event = next(self._events)
+        except StopIteration:
+            raise ServingError(
+                f"fed {self._kind.__name__} stream ended "
+                f"{self._left} events early"
+            ) from None
+        if type(event) is not self._kind:
+            raise ServingError(
+                f"fed {self._kind.__name__} stream yielded a "
+                f"{type(event).__name__}"
+            )
+        if event.time < previous:
+            raise ServingError(
+                f"fed {self._kind.__name__} stream goes back in time: "
+                f"{event.time} after {previous}"
+            )
+        self.event = event
+        heapq.heappush(heap, (event.time, self._priority, self._seq, self))
+        self._seq += 1
+        self._left -= 1
+
+
 Handler = Callable[["EventKernel", Event], None]
 
 
@@ -220,6 +306,8 @@ class EventKernel:
 
     * :meth:`push` schedules an event (never in the past) and returns a
       handle that :meth:`cancel` invalidates lazily;
+    * :meth:`feed` schedules a whole time-ordered stream of one event
+      kind at once, materialising each event only when it is next;
     * :meth:`subscribe` registers a handler for one event type;
       handlers run in subscription order;
     * :meth:`run` pops events in ``(time, priority, sequence)`` order
@@ -254,6 +342,31 @@ class EventKernel:
         self._live[kind] = self._live.get(kind, 0) + 1
         self._pending += 1
         return entry
+
+    def feed(
+        self, events: Iterable[Event], count: int, kind: Type[Event]
+    ) -> None:
+        """Schedule ``count`` events of type ``kind``, in time order.
+
+        Equivalent to pushing every event of ``events`` in turn — each
+        one keeps the sequence number that push would have given it,
+        and the whole stream counts in :meth:`pending` from now on —
+        but only the stream's head sits on the heap, and each later
+        event is drawn from ``events`` only when its predecessor
+        dispatches.  ``events`` must yield exactly ``count`` ``kind``
+        events with nondecreasing times, none in the past; a stream
+        that breaks this raises :class:`ServingError` when the bad
+        event is drawn.  Fed events cannot be cancelled.
+        """
+        if count < 0:
+            raise ServingError(f"stream count must be >= 0, got {count}")
+        if not count:
+            return
+        stream = _Stream(iter(events), count, kind, self._seq, self.now)
+        self._seq += count
+        self._live[kind] = self._live.get(kind, 0) + count
+        self._pending += count
+        stream.advance(self._heap)
 
     def cancel(self, entry: _Entry) -> None:
         """Invalidate a scheduled event (lazy: skipped when popped).
@@ -291,6 +404,7 @@ class EventKernel:
         live = self._live
         get_handlers = self._handlers.get
         pop = heapq.heappop
+        stream = _Stream
         processed = 0
         batch: List[tuple] = []
         while heap or batch:
@@ -323,6 +437,8 @@ class EventKernel:
                 continue
             entry.popped = True
             event = entry.event
+            if type(entry) is stream:
+                entry.advance(heap)
             kind = type(event)
             live[kind] -= 1
             self._pending -= 1

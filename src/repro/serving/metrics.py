@@ -93,7 +93,7 @@ def _frozen_column(values, dtype) -> np.ndarray:
     return column
 
 
-def _encode(names: Iterable[str], count: int
+def encode_names(names: Iterable[str], count: int
             ) -> Tuple[np.ndarray, Tuple[str, ...]]:
     """Integer codes into a first-seen tuple of distinct names."""
     table: Dict[str, int] = {}
@@ -159,8 +159,10 @@ class RecordColumns(SequenceABC):
         def column(name: str, dtype=np.float64) -> np.ndarray:
             return np.fromiter(map(attrgetter(name), rows), dtype, count)
 
-        shard, shard_names = _encode(map(attrgetter("shard"), rows), count)
-        tenant, tenant_names = _encode(
+        shard, shard_names = encode_names(
+            map(attrgetter("shard"), rows), count
+        )
+        tenant, tenant_names = encode_names(
             map(attrgetter("tenant"), rows), count
         )
         columns = cls(

@@ -24,7 +24,7 @@ deterministic and makes ``least-loaded`` bit-compatible with
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ServingError
 from repro.serving.events import (
@@ -122,28 +122,35 @@ class WeightedFair(SchedulingPolicy):
     is ``turn % len(shards)`` — *exactly* :class:`RoundRobin`, event
     for event, which is the degeneracy the property suite pins.
 
-    Slices are recomputed per call from the *candidate* list the
+    Slices are derived from the size of the *candidate* list the
     scheduler passes (the shards currently up), so failures shrink
     every tenant's slice proportionally instead of disabling the
-    policy.
+    policy.  A slice depends only on the tenant set, the tenant and
+    that size, so it is memoized per ``(tenant, size)`` and forgotten
+    on :meth:`bind` and :meth:`reset`.
     """
 
     name = "weighted-fair"
 
     def __init__(self, tenants: Optional[TenantSet] = None):
-        self.tenants = tenants if tenants is not None else (
-            TenantSet.default()
-        )
-        self._next: Dict[str, int] = {}
+        self.bind(tenants)
 
     def bind(self, tenants: Optional[TenantSet]) -> None:
         """Adopt a workload's tenant set (fresh rotation state)."""
         self.tenants = tenants if tenants is not None else (
             TenantSet.default()
         )
-        self._next = {}
+        self._next: Dict[str, int] = {}
+        self._slices: Dict[Tuple[str, int], range] = {}
 
     def _slice(self, tenant: str, count: int) -> range:
+        key = (tenant, count)
+        indices = self._slices.get(key)
+        if indices is None:
+            indices = self._slices[key] = self._apportion(tenant, count)
+        return indices
+
+    def _apportion(self, tenant: str, count: int) -> range:
         total = self.tenants.total_weight
         specs = list(self.tenants)
         cumulative = 0.0
@@ -174,6 +181,7 @@ class WeightedFair(SchedulingPolicy):
 
     def reset(self) -> None:
         self._next = {}
+        self._slices = {}
 
 
 def make_policy(name: str) -> SchedulingPolicy:
@@ -264,15 +272,21 @@ class Scheduler:
         self.policy.reset()
 
     def assign(
-        self, batch_size: int, now: float, tenant: str = DEFAULT_TENANT
+        self,
+        batch_size: int,
+        now: float,
+        tenant: str = DEFAULT_TENANT,
+        available: Optional[List[Shard]] = None,
     ) -> Shard:
         """The shard that should run a ``batch_size`` batch at ``now``.
 
         Only shards that are up are candidates; with every shard down
         this raises (the server parks batches instead of calling in).
         ``tenant`` reaches tenant-aware policies (weighted-fair);
-        tenant-blind policies ignore it."""
-        shards = self.available()
+        tenant-blind policies ignore it.  A caller that has just read
+        :meth:`available` passes that list in rather than have it
+        rebuilt."""
+        shards = self.available() if available is None else available
         if not shards:
             raise ServingError("no shard available: the whole pool is down")
         index = self.policy.select_for(tenant, shards, batch_size, now)

@@ -15,7 +15,7 @@ describes the whole run:
 * each **shard** places the batch on its virtual timeline, and the
   server emits one ``BatchDone`` per completion round — the events
   that feed closed-loop clients, the SLO controller's latency window,
-  and the usage accounting;
+  the usage accounting and the report's record columns;
 * an optional **SLO controller** sheds or reroutes dispatches while
   its windowed p99 estimate is breached;
 * an optional **autoscaler** drives the pool between min and max
@@ -46,8 +46,12 @@ with it to well under 1%.
 from __future__ import annotations
 
 import time
+from array import array
 from collections import deque
+from operator import attrgetter
 from typing import Deque, Dict, List, Optional, Sequence, Set, Union
+
+import numpy as np
 
 from repro.errors import ServingError
 from repro.serving.autoscaler import AutoscalerController
@@ -64,9 +68,9 @@ from repro.serving.chaos import ChaosScenario
 from repro.serving.fastforward import fastforward_serve, ineligible_reason
 from repro.serving.metrics import (
     RecordColumns,
-    RequestRecord,
     ServingReport,
     ShardUsage,
+    encode_names,
 )
 from repro.serving.scheduler import (
     Scheduler,
@@ -111,6 +115,76 @@ class _Usage:
         self.busy_seconds = 0.0
 
 
+class _RecordBuffer:
+    """The per-run column buffers served requests are written into.
+
+    One entry per delivered completion round: the round's requests
+    join one list, and its shared lifecycle (dispatch, start and
+    completion instants, shard, batch size) goes into typed arrays —
+    no per-request row is built while the kernel runs.  :meth:`columns`
+    expands the rounds into :class:`RecordColumns` sorted by request
+    index, as the fast-forward engine's report is.
+    """
+
+    __slots__ = (
+        "requests", "sizes", "dispatched", "started", "completed",
+        "shard", "batch_size",
+    )
+
+    def __init__(self) -> None:
+        self.requests: List[Request] = []
+        self.sizes = array("q")
+        self.dispatched = array("d")
+        self.started = array("d")
+        self.completed = array("d")
+        self.shard = array("i")
+        self.batch_size = array("q")
+
+    def add(self, event: BatchDone, shard: int) -> None:
+        """Record a delivered round; ``shard`` is its shard's code."""
+        self.requests.extend(event.requests)
+        self.sizes.append(len(event.requests))
+        self.dispatched.append(event.dispatched)
+        self.started.append(event.started)
+        self.completed.append(event.time)
+        self.shard.append(shard)
+        self.batch_size.append(event.batch_size)
+
+    def columns(self, shard_names: Sequence[str]) -> RecordColumns:
+        requests = self.requests
+        count = len(requests)
+        sizes = np.frombuffer(self.sizes, dtype=np.int64)
+        index = np.fromiter(
+            map(attrgetter("index"), requests), np.int64, count
+        )
+        # Request indices are unique among served records, so this is
+        # the order a sort of rows by index gives.
+        order = np.argsort(index, kind="stable")
+
+        def per_round(values: array, dtype) -> np.ndarray:
+            return np.repeat(np.frombuffer(values, dtype=dtype), sizes)[
+                order
+            ]
+
+        arrival = np.fromiter(
+            map(attrgetter("arrival"), requests), np.float64, count
+        )
+        tenant, tenant_names = encode_names(
+            map(attrgetter("tenant"), requests), count
+        )
+        return RecordColumns(
+            index[order], arrival[order],
+            per_round(self.dispatched, np.float64),
+            per_round(self.started, np.float64),
+            per_round(self.completed, np.float64),
+            per_round(self.shard, np.int32),
+            per_round(self.batch_size, np.int64),
+            tenant[order],
+            shard_names=shard_names,
+            tenant_names=tenant_names,
+        )
+
+
 class _ServeRun:
     """One kernel-engine run: kernel wiring + run state."""
 
@@ -136,9 +210,15 @@ class _ServeRun:
             AutoscalerController(server.autoscale)
             if server.autoscale is not None else None
         )
-        self.records: List[RequestRecord] = []
+        self.records = _RecordBuffer()
         self.usage: Dict[str, _Usage] = {
             shard.name: _Usage() for shard in server.pool
+        }
+        self.shard_codes: Dict[str, int] = {
+            shard.name: code for code, shard in enumerate(server.pool)
+        }
+        self.ops_per_image: Dict[str, int] = {
+            shard.name: shard.ops_per_image for shard in server.pool
         }
         #: Pending completion entries per shard: (heap entry, event).
         #: A deque: completions pop in dispatch order, so the head
@@ -286,7 +366,9 @@ class _ServeRun:
         # Tenant-aware policies see the batch's head tenant — batches
         # never mix tiers, and within a tier the head is the oldest
         # queued request, so attribution is deterministic.
-        shard = scheduler.assign(len(batch), at, batch[0].tenant)
+        shard = scheduler.assign(
+            len(batch), at, batch[0].tenant, available
+        )
         if self.slo is not None and self.slo.should_reroute():
             # Reroute = override the configured policy with the
             # expected-completion ranking (the shortest-latency policy
@@ -306,28 +388,28 @@ class _ServeRun:
         batch: List[Request],
         at: float,
     ) -> None:
-        records = shard.execute(batch, at)
-        start = records[0].started
-        # The *shard*'s completion groups, not the runner's: a degraded
-        # shard stretches its offsets by rate_factor and the BatchDone
-        # instants must match the records execute() just produced.
-        rounds = shard.completion_groups(len(batch))
+        # The *shard*'s schedule, not the runner's: a degraded shard
+        # stretches its offsets by rate_factor.
+        start, rounds = shard.place(len(batch), at)
+        size = len(batch)
+        pending = self.inflight[shard.name]
+        push = kernel.push
         taken = 0
         previous = start
         for offset, images in rounds:
             completed = start + offset
             event = BatchDone(
-                time=completed,
-                shard=shard.name,
-                records=records[taken:taken + images],
-                busy_delta=completed - previous,
-                batch_size=len(batch),
-                first=taken == 0,
-                final=taken + images == len(batch),
+                completed,
+                shard.name,
+                batch[taken:taken + images],
+                at,
+                start,
+                completed - previous,
+                size,
+                taken == 0,
+                taken + images == size,
             )
-            self.inflight[shard.name].append(
-                (kernel.push(event), event)
-            )
+            pending.append((push(event), event))
             taken += images
             previous = completed
 
@@ -345,18 +427,18 @@ class _ServeRun:
                 if candidate is event:
                     del pending[position]
                     break
-        self.records.extend(event.records)
-        self._release(event.records)
+        served = event.requests
+        self.records.add(event, self.shard_codes[event.shard])
+        self._release(served)
         usage = self.usage[event.shard]
-        usage.requests += len(event.records)
+        usage.requests += len(served)
         usage.busy_seconds += event.busy_delta
         # Count the batch with its first delivered round, so a batch
         # whose tail rounds are killed still appears wherever its
         # completed requests do.
         if event.first:
             usage.batches += 1
-        shard = self.server.scheduler.shard_named(event.shard)
-        self.total_ops += shard.ops_per_image * len(event.records)
+        self.total_ops += self.ops_per_image[event.shard] * len(served)
         self.source.on_batch_done(kernel, event)
 
     # -- failure path -----------------------------------------------------
@@ -369,20 +451,12 @@ class _ServeRun:
         disabled.  Here the lost work re-enters the batcher at the kill
         instant with its original arrival preserved.
         """
-        lost: List[RequestRecord] = []
+        lost: List[Request] = []
         for entry, pending in self.inflight[event.shard]:
             kernel.cancel(entry)
-            lost.extend(pending.records)
+            lost.extend(pending.requests)
         self.inflight[event.shard].clear()
-        for record in sorted(lost, key=lambda r: r.index):
-            kernel.push(
-                Arrival(
-                    time=kernel.now,
-                    request=Request(
-                        record.index, record.arrival, record.tenant
-                    ),
-                )
-            )
+        self._requeue(kernel, lost)
 
     def _on_shard_up(self, kernel: EventKernel, event: ShardUp) -> None:
         """Re-dispatch batches that parked while the pool was down."""
@@ -411,15 +485,15 @@ class _ServeRun:
         not migrate), so open-loop and scenario runs stay
         event-for-event identical with no autoscaler configured.
         """
-        lost: List[RequestRecord] = []
+        lost: List[Request] = []
         for shard in self.server.pool:
             pending = self.inflight[shard.name]
             keep = []
-            dropped: List[RequestRecord] = []
+            dropped: List[Request] = []
             for entry, queued in pending:
-                if queued.records[0].started > kernel.now:
+                if queued.started > kernel.now:
                     kernel.cancel(entry)
-                    dropped.extend(queued.records)
+                    dropped.extend(queued.requests)
                 else:
                     keep.append((entry, queued))
             if dropped:
@@ -429,23 +503,23 @@ class _ServeRun:
                     default=kernel.now,
                 )
                 lost.extend(dropped)
-        for record in sorted(lost, key=lambda r: r.index):
-            kernel.push(
-                Arrival(
-                    time=kernel.now,
-                    request=Request(
-                        record.index, record.arrival, record.tenant
-                    ),
-                )
-            )
+        self._requeue(kernel, lost)
+
+    @staticmethod
+    def _requeue(kernel: EventKernel, lost: List[Request]) -> None:
+        """Re-deliver ``lost`` requests now, in index order, each with
+        its original arrival kept."""
+        for request in sorted(lost, key=attrgetter("index")):
+            kernel.push(Arrival(time=kernel.now, request=request))
 
     # -- reporting --------------------------------------------------------
 
     def _report(
         self, events_processed: int = 0, wall_seconds: float = 0.0
     ) -> ServingReport:
-        self.records.sort(key=lambda record: record.index)
-        records = RecordColumns.from_rows(self.records)
+        records = self.records.columns(
+            [shard.name for shard in self.server.pool]
+        )
         unserved = sum(len(batch) for batch in self.parked)
         unserved_by_tenant: Dict[str, int] = {}
         for batch in self.parked:

@@ -21,12 +21,10 @@ arbitrary sessions (different devices and/or different models).
 from __future__ import annotations
 
 import math
-from typing import Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 from repro.errors import ServingError
 from repro.runtime.batch import BatchRunner
-from repro.serving.metrics import RequestRecord
-from repro.serving.traffic import Request
 
 
 class Shard:
@@ -66,6 +64,9 @@ class Shard:
         #: healthy service time.  The scheduling views scale by it too,
         #: so latency-aware policies route around a straggler.
         self.rate_factor = 1.0
+        #: Memoized :meth:`schedule` per ``(count, rate_factor)``.
+        self._schedules: Dict[Tuple[int, float], tuple] = {}
+        self._analytical: Optional[float] = None
 
     # -- static properties ------------------------------------------------
 
@@ -92,8 +93,10 @@ class Shard:
         """Eq. 12-15 per-image latency — the
         :class:`~repro.estimator.latency.NetworkEstimate` the
         shortest-expected-latency policy ranks shards by (available
-        without running a single simulation)."""
-        return self.session.estimate().latency
+        without running a single simulation; read once, then kept)."""
+        if self._analytical is None:
+            self._analytical = self.session.estimate().latency
+        return self._analytical
 
     # -- scheduling view --------------------------------------------------
 
@@ -134,54 +137,47 @@ class Shard:
 
     # -- execution --------------------------------------------------------
 
-    def execute(self, batch: Sequence[Request], at: float) -> List[
-            RequestRecord]:
-        """Place ``batch`` on the timeline at virtual time ``at``.
+    def schedule(self, count: int) -> Tuple[Tuple[float, int], ...]:
+        """Per-round completion offsets of a ``count``-image batch at
+        the current :attr:`rate_factor`: ``((offset, images), ...)``.
+
+        The runner's
+        :meth:`~repro.runtime.batch.BatchRunner.completion_groups`,
+        each offset scaled by the rate factor (so a degraded shard
+        stretches them).  Memoized per ``(count, rate_factor)``: the
+        probe never changes once measured, so every dispatch of one
+        batch size at one rate shares one schedule."""
+        key = (count, self.rate_factor)
+        rounds = self._schedules.get(key)
+        if rounds is None:
+            if count < 1:
+                raise ServingError("empty batch dispatched")
+            self.probe_seconds()  # seed replicas before the runner math
+            groups = self.runner.completion_groups(count)
+            if self.rate_factor != 1.0:
+                groups = [
+                    (offset * self.rate_factor, images)
+                    for offset, images in groups
+                ]
+            rounds = self._schedules[key] = tuple(groups)
+        return rounds
+
+    def place(
+        self, count: int, at: float
+    ) -> Tuple[float, Tuple[Tuple[float, int], ...]]:
+        """Place a ``count``-image batch on the timeline at virtual
+        time ``at``; returns its start instant and :meth:`schedule`.
 
         The batch starts when the shard is free (``max(at,
-        busy_until)``) and its images complete at the runner's
-        round-robin offsets; the shard is then busy until the last
-        image finishes.  Batches never overlap — exactly the
-        back-to-back accounting of
+        busy_until)``) and its rounds complete at the schedule's
+        offsets; the shard is then busy until the last round finishes.
+        Batches never overlap — exactly the back-to-back accounting of
         :meth:`~repro.runtime.batch.BatchRunner.run`.
         """
-        if not batch:
-            raise ServingError("empty batch dispatched")
-        self.probe_seconds()  # seed replicas before the runner math
-        offsets = self.runner.completion_offsets(len(batch))
-        if self.rate_factor != 1.0:
-            offsets = [offset * self.rate_factor for offset in offsets]
+        rounds = self.schedule(count)
         start = max(at, self.busy_until)
-        records = []
-        for offset, request in zip(offsets, batch):
-            records.append(
-                RequestRecord(
-                    index=request.index,
-                    arrival=request.arrival,
-                    dispatched=at,
-                    started=start,
-                    completed=start + offset,
-                    shard=self.name,
-                    batch_size=len(batch),
-                    tenant=request.tenant,
-                )
-            )
-        self.busy_until = records[-1].completed
-        return records
-
-    def completion_groups(self, count: int) -> List[tuple]:
-        """The runner's per-round completion instants
-        (:meth:`~repro.runtime.batch.BatchRunner.completion_groups`),
-        scaled by the current :attr:`rate_factor` — the offsets the
-        server's ``BatchDone`` events must use so they stay consistent
-        with :meth:`execute`'s per-request records."""
-        groups = self.runner.completion_groups(count)
-        if self.rate_factor != 1.0:
-            groups = [
-                (offset * self.rate_factor, images)
-                for offset, images in groups
-            ]
-        return groups
+        self.busy_until = start + rounds[-1][0]
+        return start, rounds
 
     def reset(self) -> None:
         """Clear the virtual timeline and mark the shard available at

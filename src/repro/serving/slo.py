@@ -131,6 +131,8 @@ class SloController:
         self.tenant_breached: Dict[str, bool] = {
             name: False for name in self.tenant_targets
         }
+        #: :meth:`breached_tenants`, rebuilt only when a flag flips.
+        self._breached_set: FrozenSet[str] = frozenset()
         self.ticks = 0
         self.breach_ticks = 0
         self.tenant_breach_ticks: Dict[str, int] = {
@@ -164,11 +166,13 @@ class SloController:
     # -- observation ------------------------------------------------------
 
     def _on_batch_done(self, kernel: EventKernel, event: BatchDone) -> None:
-        for record in event.records:
-            self._window.append(record.latency)
-            window = self._tenant_windows.get(record.tenant)
+        completed = event.time
+        for request in event.requests:
+            latency = completed - request.arrival
+            self._window.append(latency)
+            window = self._tenant_windows.get(request.tenant)
             if window is not None:
-                window.append(record.latency)
+                window.append(latency)
 
     def p99_estimate(self) -> float:
         """Nearest-rank p99 over the observation window (NaN when
@@ -201,15 +205,22 @@ class SloController:
             self.breached = False
         if self.breached:
             self.breach_ticks += 1
+        flipped = False
         for name, target in self.tenant_targets.items():
             window = self._tenant_windows[name]
             breached = (
                 len(window) >= self.min_samples
                 and self.tenant_p99_estimate(name) > target
             )
+            flipped |= breached != self.tenant_breached[name]
             self.tenant_breached[name] = breached
             if breached:
                 self.tenant_breach_ticks[name] += 1
+        if flipped:
+            self._breached_set = frozenset(
+                name for name, breached in self.tenant_breached.items()
+                if breached
+            )
         # Keep ticking only while the system still has non-tick events
         # in flight — the chain ends itself when the run drains.
         if kernel.pending() - kernel.pending(PolicyTick) > 0:
@@ -237,13 +248,9 @@ class SloController:
     def breached_tenants(self) -> FrozenSet[str]:
         """The tenants whose own p99 target is currently breached —
         their dispatches are shed while the rest of the batch
-        proceeds."""
-        if not self.tenant_targets:
-            return frozenset()
-        return frozenset(
-            name for name, breached in self.tenant_breached.items()
-            if breached
-        )
+        proceeds.  Built on the tick that flips a flag, not per
+        dispatch."""
+        return self._breached_set
 
     def describe(self) -> str:
         p99 = self.p99_estimate()

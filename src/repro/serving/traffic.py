@@ -33,6 +33,8 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from operator import attrgetter
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -91,7 +93,7 @@ def poisson_arrivals(count: int, qps: float, seed: int = 2020) -> List[float]:
     _check_qps(qps)
     rng = np.random.default_rng(seed)
     gaps = rng.exponential(scale=1.0 / qps, size=count)
-    return list(np.cumsum(gaps))
+    return np.cumsum(gaps).tolist()
 
 
 def burst_arrivals(count: int, qps: float, burst: int = 8) -> List[float]:
@@ -128,6 +130,7 @@ def make_requests(
     elif model in ("fixed-qps", "poisson", "burst"):
         if qps is None:
             raise ServingError(f"traffic model {model!r} requires a qps")
+        qps = float(qps)  # every model then yields builtin floats
         if model == "fixed-qps":
             arrivals = fixed_qps_arrivals(count, qps)
         elif model == "poisson":
@@ -139,10 +142,7 @@ def make_requests(
             f"unknown traffic model {model!r}; "
             f"expected one of {TRAFFIC_MODELS}"
         )
-    return [
-        Request(index=index, arrival=float(arrival), tenant=tenant)
-        for index, arrival in enumerate(arrivals)
-    ]
+    return list(map(Request, range(count), arrivals, repeat(tenant)))
 
 
 def merge_streams(*streams: Sequence[Request]) -> List[Request]:
@@ -150,27 +150,37 @@ def merge_streams(*streams: Sequence[Request]) -> List[Request]:
 
     The input lists keep their tenant tags and arrival instants; the
     merge sorts by ``(arrival, tenant, original index)`` — fully
-    deterministic — and re-mints sequential indices, because request
-    indices are the identity that keys completion bookkeeping and two
-    independent streams would collide.
+    deterministic, ties kept in input order — and re-mints sequential
+    indices, because request indices are the identity that keys
+    completion bookkeeping and two independent streams would collide.
     """
-    merged = sorted(
-        (request for stream in streams for request in stream),
-        key=lambda r: (r.arrival, r.tenant, r.index),
-    )
+    merged = [request for stream in streams for request in stream]
     if not merged:
         raise ServingError("nothing to merge: every stream is empty")
-    return [
-        Request(index=index, arrival=request.arrival, tenant=request.tenant)
-        for index, request in enumerate(merged)
-    ]
+    count = len(merged)
+    tenants = [request.tenant for request in merged]
+    rank = {name: position for position, name in enumerate(sorted(
+        set(tenants)
+    ))}
+    # One stable indirect sort; lexsort's last key is the primary one.
+    order = np.lexsort((
+        np.fromiter(map(attrgetter("index"), merged), np.int64, count),
+        np.fromiter(map(rank.__getitem__, tenants), np.int64, count),
+        np.fromiter(map(attrgetter("arrival"), merged), np.float64, count),
+    )).tolist()
+    return list(map(
+        Request,
+        range(count),
+        [merged[position].arrival for position in order],
+        [tenants[position] for position in order],
+    ))
 
 
 class OpenLoopSource(EventSource):
     """An arrival stream that ignores completions.
 
     Wraps any pre-materialised request list (every ``make_requests``
-    model) as an event source: priming pushes one
+    model) as an event source: priming feeds the kernel one
     :class:`~repro.serving.events.Arrival` per request, sorted by
     ``(arrival, index)`` so simultaneous arrivals enter in index order —
     the order the pre-kernel batcher consumed them in.
@@ -187,8 +197,12 @@ class OpenLoopSource(EventSource):
         )
 
     def prime(self, kernel: EventKernel) -> None:
-        for request in self.requests:
-            kernel.push(Arrival(time=request.arrival, request=request))
+        requests = self.requests
+        kernel.feed(
+            map(Arrival, map(attrgetter("arrival"), requests), requests),
+            len(requests),
+            Arrival,
+        )
 
 
 #: Column/key names :func:`load_trace` accepts for the arrival instant.
@@ -454,8 +468,11 @@ class TraceSource(EventSource):
         return (len(self.arrivals) - 1) / self.span_seconds
 
     def prime(self, kernel: EventKernel) -> None:
-        for request in self.requests():
-            kernel.push(Arrival(time=request.arrival, request=request))
+        """Feed the replayed arrivals; each :class:`Request` is minted
+        only when its arrival is next."""
+        count = len(self.arrivals)
+        requests = map(Request, range(count), self.arrivals, self.tags)
+        kernel.feed(map(Arrival, self.arrivals, requests), count, Arrival)
 
     def describe(self) -> str:
         rate = self.mean_qps()
@@ -766,8 +783,8 @@ class ClosedLoopClientPool(EventSource):
             self._issue(kernel, client, at=at + self._think())
 
     def on_batch_done(self, kernel: EventKernel, event: BatchDone) -> None:
-        for record in event.records:
-            self._advance(kernel, record.index, event.time)
+        for request in event.requests:
+            self._advance(kernel, request.index, event.time)
 
     def on_shed(
         self, kernel: EventKernel, requests: List[Request], now: float

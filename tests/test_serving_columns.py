@@ -486,8 +486,9 @@ class TestRowView:
         )
         kernel = server.run(replace(spec, engine="kernel"))
         fast = server.run(replace(spec, engine="fastforward"))
-        assert kernel.records._rows is not None  # the kernel's own rows
-        assert fast.records._rows is None  # no row was ever built
+        # Neither engine builds a row: both write columns directly.
+        assert kernel.records._rows is None
+        assert fast.records._rows is None
         assert fast.records == kernel.records
         assert list(fast.records) == list(kernel.records)
         assert fast == kernel

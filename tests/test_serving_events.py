@@ -290,6 +290,160 @@ class TestKernelOrderingProperties:
         assert unmeasured.events_per_second != unmeasured.events_per_second
 
 
+def _labelled_event(kind, time, label):
+    """An event of ``kind`` whose identifying field carries ``label``."""
+    if kind is Arrival:
+        return Arrival(time=time, request=Request(1000 + label, time))
+    if kind is Flush:
+        return Flush(time=time, token=label)
+    if kind is PolicyTick:
+        return PolicyTick(time=time, owner=str(label))
+    if kind is BatchDone:
+        return BatchDone(time=time, batch_size=label)
+    return kind(time=time, shard=f"s{label}")
+
+
+def _label(event):
+    kind = type(event).__name__
+    if isinstance(event, Arrival):
+        return kind, event.request.index
+    if isinstance(event, Flush):
+        return kind, event.token
+    if isinstance(event, PolicyTick):
+        return kind, event.owner
+    if isinstance(event, BatchDone):
+        return kind, event.batch_size
+    return kind, event.shard
+
+
+class TestFedStreamProperties:
+    """``EventKernel.feed`` keeps only a stream's head on the heap; it
+    must be observationally identical to pushing every event of the
+    stream up front."""
+
+    @staticmethod
+    def drive(fed, times, pushed, split, cancel_seed, budget):
+        """Run one kernel; returns everything observable about it."""
+        kernel = EventKernel()
+        seen = []
+        requeued = iter(range(5000, 6000))
+
+        def observe(k, event):
+            seen.append((_label(event), k.now, k.pending(Arrival),
+                         k.pending()))
+
+        def on_down(k, event):
+            observe(k, event)
+            # A kill re-queues arrivals at the failure instant: same
+            # time and priority as the stream's own arrivals there.
+            for _ in range(2):
+                k.push(Arrival(time=k.now,
+                               request=Request(next(requeued), 0.0)))
+
+        for kind in EVENT_KINDS:
+            kernel.subscribe(kind, on_down if kind is ShardDown else observe)
+        entries = [
+            kernel.push(_labelled_event(EVENT_KINDS[kind], time, label))
+            for label, (time, kind) in enumerate(pushed[:split])
+        ]
+        stream = [
+            Arrival(time=time, request=Request(index, time))
+            for index, time in enumerate(sorted(times))
+        ]
+        if fed:
+            kernel.feed(iter(stream), len(stream), Arrival)
+        else:
+            for event in stream:
+                kernel.push(event)
+        entries += [
+            kernel.push(_labelled_event(EVENT_KINDS[kind], time, label))
+            for label, (time, kind) in enumerate(pushed[split:], split)
+        ]
+        rng = random.Random(cancel_seed)
+        for entry in entries:
+            if rng.random() < 0.25:
+                kernel.cancel(entry)
+        primed = (kernel.pending(), kernel.pending(Arrival))
+        try:
+            outcome = kernel.run() if budget is None else kernel.run(budget)
+        except ServingError as error:
+            outcome = str(error)
+        return (seen, primed, outcome, kernel.pending(),
+                kernel.pending(Arrival), kernel.events_processed)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        times=st.lists(
+            st.sampled_from([0.0, 0.25, 0.5, 0.5, 1.0]),
+            min_size=1, max_size=30,
+        ),
+        pushed=st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+                st.integers(0, len(EVENT_KINDS) - 1),
+            ),
+            max_size=20,
+        ),
+        split=st.integers(0, 20),
+        cancel_seed=st.integers(0, 2**16),
+        budget=st.one_of(st.none(), st.integers(1, 80)),
+    )
+    def test_fed_stream_pops_like_pushed_events(
+        self, times, pushed, split, cancel_seed, budget
+    ):
+        """Pop order, ``pending(Arrival)`` at every dispatch, cancels
+        and the event budget all match per-event pushes, with events
+        pushed before and after the stream and re-queued at its
+        instants by a handler."""
+        args = (times, pushed, min(split, len(pushed)), cancel_seed, budget)
+        fed = self.drive(True, *args)
+        assert fed == self.drive(False, *args)
+        seen, primed, outcome = fed[:3]
+        assert primed[1] >= len(times)  # the whole stream counts
+        if budget is None:
+            assert outcome == len(seen)
+            assert fed[3:5] == (0, 0)
+        stream_pops = [
+            label[1] for label, *_ in seen
+            if label[0] == "Arrival" and label[1] < 1000
+        ]
+        assert stream_pops == sorted(stream_pops)
+
+    def test_feed_counts_the_whole_stream_up_front(self):
+        kernel = EventKernel()
+        kernel.feed(
+            (Arrival(time=t, request=Request(i, t))
+             for i, t in enumerate([0.0, 1.0, 2.0])),
+            3, Arrival,
+        )
+        kernel.feed([], 0, Arrival)  # an empty stream is a no-op
+        assert kernel.pending(Arrival) == 3
+        assert kernel.pending() == 3
+        assert len(kernel._heap) == 1  # only the head is materialised
+        assert kernel.run() == 3
+        assert kernel.pending() == 0
+
+    @pytest.mark.parametrize("events, count, message", [
+        ([Arrival(time=1.0), Arrival(time=0.5)], 2, "back in time"),
+        ([Arrival(time=0.0), Flush(time=1.0)], 2, "yielded a Flush"),
+        ([Arrival(time=0.0)], 2, "1 events early"),
+    ])
+    def test_feed_rejects_malformed_streams(self, events, count, message):
+        kernel = EventKernel()
+        kernel.feed(iter(events), count, Arrival)
+        with pytest.raises(ServingError, match=message):
+            kernel.run()
+
+    def test_feed_rejects_the_past_and_negative_counts(self):
+        kernel = EventKernel()
+        kernel.push(PolicyTick(time=1.0))
+        kernel.run()
+        with pytest.raises(ServingError, match="back in time"):
+            kernel.feed([Arrival(time=0.5)], 1, Arrival)
+        with pytest.raises(ServingError, match=">= 0"):
+            kernel.feed([], -1, Arrival)
+
+
 # -- batcher on the kernel -------------------------------------------------
 
 

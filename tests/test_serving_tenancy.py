@@ -14,11 +14,15 @@ from repro.fpga import get_device
 from repro.ir import zoo
 from repro.pipeline import PipelineSession
 from repro.serving import (
+    BatchDone,
     BatcherOptions,
     ClosedLoopClientPool,
+    EventKernel,
+    PolicyTick,
     Request,
     ShardPool,
     ShardServer,
+    SloController,
     TenantSet,
     TenantSpec,
     TraceSource,
@@ -384,6 +388,39 @@ class TestTenantServing:
         assert report.tenant_slo_targets == {"fast": 1e-7}
         served_tenants = {r.tenant for r in report.records}
         assert "steady" in served_tenants
+
+    def test_breached_tenants_follows_every_flip(self):
+        """The breached set is rebuilt on the tick that flips a flag
+        and handed out unchanged between flips."""
+        controller = SloController(None, TenantSet([
+            TenantSpec("fast", p99_slo_s=1.0),
+            TenantSpec("steady", p99_slo_s=1.0),
+        ]))
+        kernel = EventKernel()
+
+        def complete(tenant, latency, count):
+            controller._on_batch_done(kernel, BatchDone(
+                time=10.0,
+                requests=[Request(0, 10.0 - latency, tenant)] * count,
+            ))
+
+        def tick():
+            controller._on_tick(kernel, PolicyTick(time=10.0, owner="slo"))
+            return controller.breached_tenants()
+
+        assert tick() == frozenset()
+        complete("fast", 2.0, 8)
+        breached = tick()
+        assert breached == frozenset({"fast"})
+        assert controller.breached_tenants() is breached
+        assert tick() is breached  # no flip, no rebuild
+        complete("steady", 2.0, 8)
+        assert tick() == frozenset({"fast", "steady"})
+        complete("fast", 0.5, 64)  # the slow samples leave the window
+        assert tick() == frozenset({"steady"})
+        assert controller.tenant_breached == {
+            "fast": False, "steady": True
+        }
 
     def test_closed_loop_tenant_groups(self, session):
         pool = ShardPool.replicate(session, 2)
