@@ -119,11 +119,11 @@ class _RecordBuffer:
     """The per-run column buffers served requests are written into.
 
     One entry per delivered completion round: the round's requests
-    join one list, and its shared lifecycle (dispatch, start and
-    completion instants, shard, batch size) goes into typed arrays —
-    no per-request row is built while the kernel runs.  :meth:`columns`
-    expands the rounds into :class:`RecordColumns` sorted by request
-    index, as the fast-forward engine's report is.
+    join one list, its shard name another, and its shared lifecycle
+    (dispatch, start and completion instants, batch size) goes into
+    typed arrays — no per-request row is built while the kernel runs.
+    :meth:`columns` expands the rounds into :class:`RecordColumns`
+    sorted by request index, as the fast-forward engine's report is.
     """
 
     __slots__ = (
@@ -137,20 +137,20 @@ class _RecordBuffer:
         self.dispatched = array("d")
         self.started = array("d")
         self.completed = array("d")
-        self.shard = array("i")
+        self.shard: List[str] = []
         self.batch_size = array("q")
 
-    def add(self, event: BatchDone, shard: int) -> None:
-        """Record a delivered round; ``shard`` is its shard's code."""
+    def add(self, event: BatchDone) -> None:
+        """Record a delivered round."""
         self.requests.extend(event.requests)
         self.sizes.append(len(event.requests))
         self.dispatched.append(event.dispatched)
         self.started.append(event.started)
         self.completed.append(event.time)
-        self.shard.append(shard)
+        self.shard.append(event.shard)
         self.batch_size.append(event.batch_size)
 
-    def columns(self, shard_names: Sequence[str]) -> RecordColumns:
+    def columns(self) -> RecordColumns:
         requests = self.requests
         count = len(requests)
         sizes = np.frombuffer(self.sizes, dtype=np.int64)
@@ -169,6 +169,7 @@ class _RecordBuffer:
         arrival = np.fromiter(
             map(attrgetter("arrival"), requests), np.float64, count
         )
+        shard, shard_names = encode_names(self.shard, len(self.shard))
         tenant, tenant_names = encode_names(
             map(attrgetter("tenant"), requests), count
         )
@@ -177,7 +178,7 @@ class _RecordBuffer:
             per_round(self.dispatched, np.float64),
             per_round(self.started, np.float64),
             per_round(self.completed, np.float64),
-            per_round(self.shard, np.int32),
+            np.repeat(shard, sizes)[order],
             per_round(self.batch_size, np.int64),
             tenant[order],
             shard_names=shard_names,
@@ -214,12 +215,6 @@ class _ServeRun:
         self.usage: Dict[str, _Usage] = {
             shard.name: _Usage() for shard in server.pool
         }
-        self.shard_codes: Dict[str, int] = {
-            shard.name: code for code, shard in enumerate(server.pool)
-        }
-        self.ops_per_image: Dict[str, int] = {
-            shard.name: shard.ops_per_image for shard in server.pool
-        }
         #: Pending completion entries per shard: (heap entry, event).
         #: A deque: completions pop in dispatch order, so the head
         #: check in ``_on_batch_done`` is O(1) — a list's ``del [0]``
@@ -227,7 +222,6 @@ class _ServeRun:
         self.inflight: Dict[str, Deque] = {
             shard.name: deque() for shard in server.pool
         }
-        self.total_ops = 0
         self.shed = 0
         self.rerouted = 0
         self.admission_shed = 0
@@ -428,7 +422,7 @@ class _ServeRun:
                     del pending[position]
                     break
         served = event.requests
-        self.records.add(event, self.shard_codes[event.shard])
+        self.records.add(event)
         self._release(served)
         usage = self.usage[event.shard]
         usage.requests += len(served)
@@ -438,7 +432,6 @@ class _ServeRun:
         # completed requests do.
         if event.first:
             usage.batches += 1
-        self.total_ops += self.ops_per_image[event.shard] * len(served)
         self.source.on_batch_done(kernel, event)
 
     # -- failure path -----------------------------------------------------
@@ -517,9 +510,7 @@ class _ServeRun:
     def _report(
         self, events_processed: int = 0, wall_seconds: float = 0.0
     ) -> ServingReport:
-        records = self.records.columns(
-            [shard.name for shard in self.server.pool]
-        )
+        records = self.records.columns()
         unserved = sum(len(batch) for batch in self.parked)
         unserved_by_tenant: Dict[str, int] = {}
         for batch in self.parked:
@@ -560,7 +551,10 @@ class _ServeRun:
         return ServingReport(
             records=records,
             shards=usage,
-            total_ops=self.total_ops,
+            total_ops=sum(
+                shard.ops_per_image * self.usage[shard.name].requests
+                for shard in self.server.pool
+            ),
             shed=self.shed,
             rerouted=self.rerouted,
             unserved=unserved,
