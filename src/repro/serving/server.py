@@ -118,21 +118,24 @@ class _Usage:
 class _RecordBuffer:
     """The per-run column buffers served requests are written into.
 
-    One entry per delivered completion round: the round's requests
-    join one list, its shard name another, and its shared lifecycle
-    (dispatch, start and completion instants, batch size) goes into
-    typed arrays — no per-request row is built while the kernel runs.
-    :meth:`columns` expands the rounds into :class:`RecordColumns`
-    sorted by request index, as the fast-forward engine's report is.
+    Each delivered completion round appends its requests' indices,
+    arrivals and tenants, and once per round its shard, size and
+    shared lifecycle (dispatch, start and completion instants, batch
+    size) — typed arrays and name lists, no per-request row and no
+    reference to the request itself.  :meth:`columns` expands the
+    rounds into :class:`RecordColumns` sorted by request index, as the
+    fast-forward engine's report is.
     """
 
     __slots__ = (
-        "requests", "sizes", "dispatched", "started", "completed",
-        "shard", "batch_size",
+        "index", "arrival", "tenant", "sizes", "dispatched", "started",
+        "completed", "shard", "batch_size",
     )
 
     def __init__(self) -> None:
-        self.requests: List[Request] = []
+        self.index = array("q")
+        self.arrival = array("d")
+        self.tenant: List[str] = []
         self.sizes = array("q")
         self.dispatched = array("d")
         self.started = array("d")
@@ -142,8 +145,11 @@ class _RecordBuffer:
 
     def add(self, event: BatchDone) -> None:
         """Record a delivered round."""
-        self.requests.extend(event.requests)
-        self.sizes.append(len(event.requests))
+        requests = event.requests
+        self.index.extend(map(_index, requests))
+        self.arrival.extend(map(_arrival, requests))
+        self.tenant.extend(map(_tenant, requests))
+        self.sizes.append(len(requests))
         self.dispatched.append(event.dispatched)
         self.started.append(event.started)
         self.completed.append(event.time)
@@ -151,12 +157,8 @@ class _RecordBuffer:
         self.batch_size.append(event.batch_size)
 
     def columns(self) -> RecordColumns:
-        requests = self.requests
-        count = len(requests)
         sizes = np.frombuffer(self.sizes, dtype=np.int64)
-        index = np.fromiter(
-            map(attrgetter("index"), requests), np.int64, count
-        )
+        index = np.frombuffer(self.index, dtype=np.int64)
         # Request indices are unique among served records, so this is
         # the order a sort of rows by index gives.
         order = np.argsort(index, kind="stable")
@@ -166,15 +168,11 @@ class _RecordBuffer:
                 order
             ]
 
-        arrival = np.fromiter(
-            map(attrgetter("arrival"), requests), np.float64, count
-        )
         shard, shard_names = encode_names(self.shard, len(self.shard))
-        tenant, tenant_names = encode_names(
-            map(attrgetter("tenant"), requests), count
-        )
+        tenant, tenant_names = encode_names(self.tenant, len(self.tenant))
         return RecordColumns(
-            index[order], arrival[order],
+            index[order],
+            np.frombuffer(self.arrival, dtype=np.float64)[order],
             per_round(self.dispatched, np.float64),
             per_round(self.started, np.float64),
             per_round(self.completed, np.float64),
@@ -184,6 +182,11 @@ class _RecordBuffer:
             shard_names=shard_names,
             tenant_names=tenant_names,
         )
+
+
+_index = attrgetter("index")
+_arrival = attrgetter("arrival")
+_tenant = attrgetter("tenant")
 
 
 class _ServeRun:
