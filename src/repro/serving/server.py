@@ -115,6 +115,11 @@ class _Usage:
         self.busy_seconds = 0.0
 
 
+_index = attrgetter("index")
+_arrival = attrgetter("arrival")
+_tenant = attrgetter("tenant")
+
+
 class _RecordBuffer:
     """The per-run column buffers served requests are written into.
 
@@ -182,11 +187,6 @@ class _RecordBuffer:
             shard_names=shard_names,
             tenant_names=tenant_names,
         )
-
-
-_index = attrgetter("index")
-_arrival = attrgetter("arrival")
-_tenant = attrgetter("tenant")
 
 
 class _ServeRun:
