@@ -1,5 +1,5 @@
 """Benchmark: full-sweep DSE wall-clock and cache hit rate, seed vs
-pipeline vs warm on-disk store.
+pipeline.
 
 The sweep is the VGG16 tradeoff study on VU9P: the full 621-candidate
 space explored once per objective (throughput, then latency) — the
@@ -9,18 +9,13 @@ cache, no bound); the *pipeline* path is :func:`~repro.dse.run_dse`,
 which visits candidates in admissible-bound order, stops once none can
 reach the ranking, and shares one
 :class:`~repro.pipeline.cache.EvaluationCache` across the two runs.
-The *store* path repeats the sweep in a fresh cache warmed from an
-:class:`~repro.pipeline.store.EvaluationStore` flushed by a cold run —
-the repeated-fleet workload persistent caching exists for.
 
 Checked claims:
 
 * the pipeline selects the byte-identical ranking per objective;
 * >= 3x wall-clock speedup over the seed path;
 * the bound order prunes >= 600 of the 621 candidates per objective;
-* >= 50% cache hit rate across the sweep;
-* a store-warmed repeat reports > 90% estimate-level hit rate and the
-  byte-identical selection of the cold brute-force run.
+* >= 50% cache hit rate across the sweep.
 """
 
 import time
@@ -29,7 +24,7 @@ from repro.dse import exhaustive_dse, run_dse
 from repro.dse.space import DseOptions
 from repro.fpga import get_device
 from repro.ir import zoo
-from repro.pipeline import EvaluationCache, EvaluationStore
+from repro.pipeline import EvaluationCache
 
 OBJECTIVES = ("throughput", "latency")
 
@@ -101,47 +96,6 @@ def test_dse_cache_speedup(benchmark, once, capsys):
     # Acceptance: >= 3x wall-clock, >= 50% cache hit rate.
     assert speedup >= 3.0, f"speedup {speedup:.2f}x < 3x"
     assert stats.hit_rate >= 0.5, f"hit rate {stats.hit_rate:.2%} < 50%"
-
-
-def test_dse_store_warm_sweep(tmp_path, once, benchmark, capsys):
-    """Repeat the two-objective sweep out of a warm on-disk store."""
-    device = get_device("vu9p")
-    network = zoo.vgg16()
-    store = EvaluationStore(tmp_path / "cache")
-
-    # Cold run: evaluate everything once, flush the delta to disk.
-    cold_cache = EvaluationCache()
-    start = time.perf_counter()
-    cold = _sweep_pipeline(device, network, cold_cache)
-    cold_seconds = time.perf_counter() - start
-    flushed = store.flush(cold_cache)
-
-    # Warm run: a fresh cache in a "new invocation", warmed from disk.
-    warm_cache = EvaluationCache()
-    store.warm(warm_cache)
-    start = time.perf_counter()
-    warm = once(benchmark, _sweep_pipeline, device, network, warm_cache)
-    warm_seconds = time.perf_counter() - start
-
-    stats = warm_cache.stats
-    with capsys.disabled():
-        print()
-        print("VGG16 warm-store sweep on vu9p")
-        print(f"  cold (empty cache): {cold_seconds * 1e3:8.1f} ms, "
-              f"{flushed} entries flushed")
-        print(f"  warm (from store):  {warm_seconds * 1e3:8.1f} ms "
-              f"({cold_seconds / warm_seconds:.1f}x)")
-        print(f"  cache: {stats.describe()}")
-        print(f"  {store.describe()}")
-
-    # Identical selection, served almost entirely from the store.
-    for objective in OBJECTIVES:
-        assert _ranking(warm[objective]) == _ranking(cold[objective]), (
-            objective
-        )
-    assert stats.estimate_hit_rate > 0.9, (
-        f"warm estimate hit rate {stats.estimate_hit_rate:.2%} <= 90%"
-    )
 
 
 def test_dse_bound_order_prunes_vgg16_vu9p(capsys):

@@ -10,8 +10,8 @@ The package mirrors the paper's four-step design flow:
 4. **Run** — :mod:`repro.runtime` on the cycle-approximate, functionally
    exact simulator in :mod:`repro.sim`.
 
-Above the flow, :mod:`repro.pipeline` caches and persists the
-evaluation chain behind one ``PipelineSession`` facade, and
+Above the flow, :mod:`repro.pipeline` caches the evaluation chain
+behind one ``PipelineSession`` facade, and
 :mod:`repro.serving` serves traffic over pools of deployed sessions
 (multi-shard scheduling + dynamic batching — ``repro serve``).
 

@@ -8,18 +8,12 @@ Commands mirror the framework's steps:
 * ``compile`` — compile a model and write program.bin / program.asm.
 * ``simulate`` — run the cycle-approximate simulation end to end.
 * ``serve`` — multi-shard batch serving over synthetic traffic.
-* ``cache`` — inspect (``info``) or ``compact`` a ``--cache-dir``.
 * ``emit-hls`` — write the HLS project for a DSE-selected design.
 * ``experiments`` — regenerate a paper table/figure by name.
 
 All model-evaluating commands share one
 :class:`~repro.pipeline.session.PipelineSession`, so the DSE result,
 compiled model and runtime are each computed once per invocation.
-With ``--cache-dir`` the session is backed by an on-disk
-:class:`~repro.pipeline.store.EvaluationStore`: layer estimates warm
-from disk at startup and the newly computed delta is flushed when the
-command finishes, so repeated invocations over the model zoo skip the
-analytical model almost entirely.
 """
 
 from __future__ import annotations
@@ -37,7 +31,7 @@ from repro.fpga import DEVICES, get_device
 from repro.hls import HlsConfig, emit_project
 from repro.ir import zoo
 from repro.isa import disassemble
-from repro.pipeline import EvaluationStore, PipelineSession
+from repro.pipeline import PipelineSession
 
 
 def _cmd_devices(_args) -> int:
@@ -73,38 +67,33 @@ def _session(args) -> PipelineSession:
         options,
         compiler_options=CompilerOptions(quantize=not args.exact),
         seed=args.seed,
-        store=args.cache_dir,
     )
 
 
 def _cmd_dse(args) -> int:
-    with _session(args) as session:
-        result = session.dse()
-        print(result.summary())
-        util = result.total.utilisation(session.device.resources)
-        print("utilisation: " + ", ".join(
-            f"{k} {v * 100:.1f}%" for k, v in util.items()
-        ))
-        if args.verbose:
-            print("\nper-layer mapping:")
-            for m in result.mapping:
-                print(f"  {m.layer_name:14s} {m.mode}-{m.dataflow}")
-            print(
-                f"\nevaluated {result.candidates_evaluated}, pruned "
-                f"{result.candidates_pruned} of "
-                f"{result.candidates_considered} candidates"
-            )
-            if result.cache_stats is not None:
-                print(f"cache: {result.cache_stats.describe()}")
-            if session.store is not None:
-                session.close()  # flush before reporting the counters
-                print(session.store.describe())
+    session = _session(args)
+    result = session.dse()
+    print(result.summary())
+    util = result.total.utilisation(session.device.resources)
+    print("utilisation: " + ", ".join(
+        f"{k} {v * 100:.1f}%" for k, v in util.items()
+    ))
+    if args.verbose:
+        print("\nper-layer mapping:")
+        for m in result.mapping:
+            print(f"  {m.layer_name:14s} {m.mode}-{m.dataflow}")
+        print(
+            f"\nevaluated {result.candidates_evaluated}, pruned "
+            f"{result.candidates_pruned} of "
+            f"{result.candidates_considered} candidates"
+        )
+        if result.cache_stats is not None:
+            print(f"cache: {result.cache_stats.describe()}")
     return 0
 
 
 def _cmd_compile(args) -> int:
-    with _session(args) as session:
-        compiled = session.compiled()
+    compiled = _session(args).compiled()
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
     for index, program in enumerate(compiled.programs()):
@@ -119,9 +108,9 @@ def _cmd_compile(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    with _session(args) as session:
-        network = session.network
-        sim = session.simulate(functional=args.functional)
+    session = _session(args)
+    network = session.network
+    sim = session.simulate(functional=args.functional)
     ops = sum(i.ops for i in network.compute_layers())
     print(
         f"{network.name} on {session.device.name}: "
@@ -161,7 +150,7 @@ def _serve_session(args) -> PipelineSession:
             return PipelineSession(
                 args.model, device, cfg=cfg,
                 compiler_options=compiler_options,
-                seed=args.seed, store=args.cache_dir,
+                seed=args.seed,
             )
         except DeviceError:
             pass  # no paper config for this device: fall back to DSE
@@ -172,7 +161,7 @@ def _serve_session(args) -> PipelineSession:
     return PipelineSession(
         args.model, get_device(args.device), options,
         compiler_options=compiler_options,
-        seed=args.seed, store=args.cache_dir,
+        seed=args.seed,
     )
 
 
@@ -290,15 +279,7 @@ def _cmd_serve(args) -> int:
     if autoscale_bounds is not None:
         shards = autoscale_bounds[1]  # replicate the pool to max
     pool = ShardPool.replicate(session, shards)
-    try:
-        return _run_serve(
-            args, pool, scenario, slo, autoscale_bounds, tenants
-        )
-    finally:
-        # Always flush a store-backed session, even when the serve run
-        # itself fails (e.g. a scenario naming an unknown shard) — the
-        # DSE/compile work is already paid and worth persisting.
-        pool.close()
+    return _run_serve(args, pool, scenario, slo, autoscale_bounds, tenants)
 
 
 def _parse_serve_shapes(args):
@@ -579,11 +560,7 @@ def _cmd_sweep(args) -> int:
         trace_loop=args.trace_loop,
         event_budget=args.event_budget,
     )
-    session = _serve_session(args)
-    try:
-        report = run_sweep(session, grid, options, seed=args.seed)
-    finally:
-        session.close()
+    report = run_sweep(_serve_session(args), grid, options, seed=args.seed)
     print(report.describe())
     if args.report_json is not None:
         out = Path(args.report_json)
@@ -617,9 +594,7 @@ def _cmd_plan(args) -> int:
         seed=args.seed,
         event_budget=args.event_budget,
     )
-    plan = plan_capacity(
-        args.model, args.devices, options, store=args.cache_dir
-    )
+    plan = plan_capacity(args.model, args.devices, options)
     print(plan.describe())
     if args.report_json is not None:
         out = Path(args.report_json)
@@ -651,64 +626,14 @@ def _parse_pools(raw):
         ) from None
 
 
-def _cmd_cache_info(args) -> int:
-    store = EvaluationStore(args.dir)
-    summaries, estimates, partitions = store.inspect()
-    if not summaries:
-        print(f"cache dir {store.path}: empty (no segments)")
-        return 0
-    stored = sum(s.entries for s in summaries if s.readable)
-    unreadable = sum(1 for s in summaries if not s.readable)
-    size = sum(s.size_bytes for s in summaries)
-    # A warm load serves exactly the first-writer-wins merge `inspect`
-    # already computed — `unique` entries of the `stored` total.
-    unique = len(estimates) + len(partitions)
-    print(
-        f"cache dir {store.path}: {len(summaries)} segment(s), "
-        f"{size / 1024:.1f} KiB"
-    )
-    print(
-        f"  {len(estimates)} estimate + {len(partitions)} partition "
-        f"entries ({unique} unique of {stored} stored)"
-    )
-    print(
-        f"  warm load: {unique} entries into a fresh cache "
-        f"({unique / stored * 100:.1f}% of stored entries useful)"
-        if stored else "  warm load: nothing readable"
-    )
-    if unreadable:
-        print(f"  {unreadable} unreadable segment(s) skipped")
-    if len(summaries) > 1:
-        print(f"  `repro cache compact {args.dir}` would merge "
-              f"{len(summaries)} segments into 1")
-    return 0
-
-
-def _cmd_cache_compact(args) -> int:
-    store = EvaluationStore(args.dir)
-    before = len(store.segments())
-    removed = store.compact()
-    if removed == 0:
-        print(f"cache dir {store.path}: nothing to compact "
-              f"({before} segment(s))")
-        return 0
-    _, estimates, partitions = store.inspect()
-    print(
-        f"cache dir {store.path}: merged {removed} segments into 1 "
-        f"({len(estimates)} estimate + {len(partitions)} partition "
-        "entries)"
-    )
-    return 0
-
-
 def _cmd_emit_hls(args) -> int:
-    with _session(args) as session:
-        files = emit_project(
-            HlsConfig.from_config(
-                session.cfg, session.device, session.network.name
-            ),
-            args.output,
-        )
+    session = _session(args)
+    files = emit_project(
+        HlsConfig.from_config(
+            session.cfg, session.device, session.network.name
+        ),
+        args.output,
+    )
     resources = estimate_resources(
         session.cfg, session.device, session.calibration
     )
@@ -773,6 +698,20 @@ def _cmd_experiments(args) -> int:
     return 0
 
 
+def _add_trace_args(p, trace_help: str) -> None:
+    """``--trace``/``--trace-scale``/``--trace-loop``, shared by serve,
+    sweep and plan; only the ``--trace`` help differs per command."""
+    p.add_argument("--trace", default=None, metavar="FILE",
+                   help=trace_help)
+    p.add_argument("--trace-scale", type=float, default=1.0,
+                   metavar="FACTOR", dest="trace_scale",
+                   help="multiply trace inter-arrivals by this "
+                        "(< 1 replays faster)")
+    p.add_argument("--trace-loop", type=int, default=1, metavar="N",
+                   dest="trace_loop",
+                   help="repeat the trace N times back to back")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -798,9 +737,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=2020)
         p.add_argument("--exact", action="store_true",
                        help="disable fixed-point quantisation")
-        p.add_argument("--cache-dir", default=None, dest="cache_dir",
-                       help="persist layer estimates here across "
-                            "invocations (warm start + flush on exit)")
 
     p = sub.add_parser("dse", help="run design space exploration")
     add_common(p)
@@ -913,16 +849,8 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="MS", dest="autoscale_tick",
                    help="autoscaler control period "
                         "(default: one batch service time)")
-    p.add_argument("--trace", default=None, metavar="FILE",
-                   help="replay a CSV/JSONL arrival trace instead of "
-                        "synthetic traffic (--requests is ignored)")
-    p.add_argument("--trace-scale", type=float, default=1.0,
-                   metavar="FACTOR", dest="trace_scale",
-                   help="multiply trace inter-arrivals by this "
-                        "(< 1 replays faster)")
-    p.add_argument("--trace-loop", type=int, default=1, metavar="N",
-                   dest="trace_loop",
-                   help="repeat the trace N times back to back")
+    _add_trace_args(p, "replay a CSV/JSONL arrival trace instead of "
+                       "synthetic traffic (--requests is ignored)")
     p.add_argument("--report-json", default=None, metavar="PATH",
                    dest="report_json",
                    help="also write the ServingReport as JSON "
@@ -991,17 +919,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="warp every cell's arrivals by a traffic "
                         "shape (composes onto --trace replays too); "
                         "repeatable")
-    p.add_argument("--trace", default=None, metavar="PATH",
-                   help="replay a recorded arrival trace in every "
-                        "cell instead of synthetic traffic (ignores "
-                        "--requests/--traffic/--load-factor/--burst)")
-    p.add_argument("--trace-scale", type=float, default=1.0,
-                   dest="trace_scale", metavar="FACTOR",
-                   help="multiply trace inter-arrival times "
-                        "(0.5 = replay twice as fast)")
-    p.add_argument("--trace-loop", type=int, default=1,
-                   dest="trace_loop", metavar="N",
-                   help="repeat the trace N times back to back")
+    _add_trace_args(p, "replay a recorded arrival trace in every "
+                       "cell instead of synthetic traffic (ignores "
+                       "--requests/--traffic/--load-factor/--burst)")
     p.add_argument("--executor", default="serial",
                    choices=SWEEP_EXECUTORS,
                    help="cell execution backend for --jobs > 1; both "
@@ -1047,15 +967,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=TRAFFIC_MODELS)
     p.add_argument("--burst", type=int, default=8,
                    help="burst size for --traffic burst")
-    p.add_argument("--trace", default=None, metavar="FILE",
-                   help="plan against a replayed CSV/JSONL arrival "
-                        "trace instead of synthetic traffic")
-    p.add_argument("--trace-scale", type=float, default=1.0,
-                   metavar="FACTOR", dest="trace_scale",
-                   help="multiply trace inter-arrivals by this")
-    p.add_argument("--trace-loop", type=int, default=1, metavar="N",
-                   dest="trace_loop",
-                   help="repeat the trace N times back to back")
+    _add_trace_args(p, "plan against a replayed CSV/JSONL arrival "
+                       "trace instead of synthetic traffic")
     p.add_argument("--top-k", type=int, default=5, dest="top_k",
                    help="surrogate survivors to verify by replay")
     p.add_argument("--policy", default="shortest-latency",
@@ -1082,28 +995,11 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="N", dest="event_budget",
                    help="per-replay kernel runaway-loop budget")
     p.add_argument("--seed", type=int, default=2020)
-    p.add_argument("--cache-dir", default=None, dest="cache_dir",
-                   help="persist layer estimates here across "
-                        "invocations (warm start + flush on exit)")
     p.add_argument("--report-json", default=None, metavar="PATH",
                    dest="report_json",
                    help="write the ProvisioningPlan as JSON "
                         "(the CI artifact format)")
     p.set_defaults(func=_cmd_plan)
-
-    p = sub.add_parser("cache",
-                       help="inspect / compact an estimate cache dir")
-    cache_sub = p.add_subparsers(dest="cache_command", required=True)
-    pc = cache_sub.add_parser(
-        "info", help="segment count, entry counts, warm-load dedup"
-    )
-    pc.add_argument("dir", help="cache directory (--cache-dir elsewhere)")
-    pc.set_defaults(func=_cmd_cache_info)
-    pc = cache_sub.add_parser(
-        "compact", help="merge all segments into one"
-    )
-    pc.add_argument("dir", help="cache directory (--cache-dir elsewhere)")
-    pc.set_defaults(func=_cmd_cache_compact)
 
     p = sub.add_parser("emit-hls", help="emit the HLS project")
     add_common(p)

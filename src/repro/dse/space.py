@@ -101,10 +101,6 @@ class HardwareCandidate:
     per_instance: ResourceBudget
     total: ResourceBudget
 
-    @property
-    def peak_macs_per_cycle(self) -> int:
-        return self.cfg.macs_per_cycle * self.cfg.instances
-
 
 def default_buffers(device: FpgaDevice) -> Tuple[int, int, int]:
     """(input, weight, output) ping-pong half sizes in channel vectors.

@@ -151,7 +151,7 @@ def estimate_layer(
     The parameter survives for signature symmetry with the cached path
     — :meth:`repro.pipeline.cache.EvaluationCache.estimate` keeps
     ``cal`` in its memo key so a future calibrated latency term can
-    never read stale persisted entries — and every call site threads
+    never read stale entries — and every call site threads
     the session's profile through uniformly.
 
     ``partition`` may carry a precomputed

@@ -20,7 +20,7 @@ from repro.errors import DeviceError
 from repro.fpga import FpgaDevice, get_device
 from repro.ir.graph import Network
 from repro.mapping.strategy import NetworkMapping
-from repro.pipeline import EvaluationCache, EvaluationStore, PipelineSession
+from repro.pipeline import EvaluationCache, PipelineSession
 from repro.sim.simulator import SimulationResult
 
 #: Buffer presets (input, weight, output ping-pong halves, in vectors).
@@ -59,14 +59,11 @@ def paper_session(
     functional: bool = False,
     cache: Optional[EvaluationCache] = None,
     seed: int = 2020,
-    store: Optional[EvaluationStore] = None,
 ) -> PipelineSession:
     """A session pinned to the paper's Section-6.1 configuration.
 
     ``functional`` selects whether compiled data images are materialised
-    (matching :func:`simulate_network`'s compile options).  ``store``
-    (an :class:`EvaluationStore` or cache-dir path) makes repeated
-    experiment runs start warm; close the session to flush its delta.
+    (matching :func:`simulate_network`'s compile options).
     """
     cfg, device = paper_config(device_name)
     return PipelineSession(
@@ -76,7 +73,6 @@ def paper_session(
         compiler_options=CompilerOptions(quantize=True, pack_data=functional),
         cache=cache,
         seed=seed,
-        store=store,
     )
 
 

@@ -1,8 +1,7 @@
-"""Unified evaluation pipeline (cache + store + session facade).
+"""Unified evaluation pipeline (cache + session facade).
 
-``EvaluationCache`` memoizes the per-layer analytical model;
-``EvaluationStore`` persists those memos on disk across processes and
-invocations; ``PipelineSession`` chains candidates -> design point ->
+``EvaluationCache`` memoizes the per-layer analytical model in memory;
+``PipelineSession`` chains candidates -> design point ->
 compiled model -> runtime behind one lazily-evaluated object shared by
 the CLI, the experiments and the examples.
 
@@ -17,10 +16,7 @@ from __future__ import annotations
 __all__ = [
     "CacheStats",
     "EvaluationCache",
-    "EvaluationStore",
     "PipelineSession",
-    "SegmentSummary",
-    "StoreStats",
     "layer_signature",
 ]
 
@@ -28,9 +24,6 @@ _EXPORTS = {
     "CacheStats": "repro.pipeline.cache",
     "EvaluationCache": "repro.pipeline.cache",
     "layer_signature": "repro.pipeline.cache",
-    "EvaluationStore": "repro.pipeline.store",
-    "SegmentSummary": "repro.pipeline.store",
-    "StoreStats": "repro.pipeline.store",
     "PipelineSession": "repro.pipeline.session",
 }
 

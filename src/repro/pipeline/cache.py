@@ -11,8 +11,7 @@ for the final network estimate.  The cache memoizes it at two levels:
   system, mode, dataflow, fused-pool factor and the calibration profile
   (calibration feeds the resource model, not the latency equations —
   see ``estimate_layer`` — but it stays in the key so a future
-  calibrated latency term can never read stale entries, in memory or
-  from a persisted store);
+  calibrated latency term can never read stale entries);
 * the **partition level** keys on the subset the group geometry depends
   on — shape, (PI, PO, PT), buffer sizes and mode.  A partition is
   therefore shared across both dataflows, all data widths, all clocks
@@ -32,12 +31,6 @@ counted separately (``shape_dedup_hits``) — they measure exactly the
 within-network shape deduplication.  On such hits the estimate is
 re-labelled with the requested layer's name, so cached and uncached
 paths return byte-identical results.
-
-Entries are plain ``(value, error, from_name)`` triples of frozen
-dataclasses and :class:`~repro.errors.ReproError` instances, so they are
-pickleable by value.  That is what lets a cache be **warmed** from an
-on-disk :class:`~repro.pipeline.store.EvaluationStore` and hand its
-*dirty delta* (entries computed since the last flush) back to the store.
 """
 
 from __future__ import annotations
@@ -175,11 +168,6 @@ class EvaluationCache:
         self._part_misses = 0
         self._dedup_hits = 0
         self._error_entries = 0  # error-valued estimate entries (O(1) stats)
-        # Keys inserted by computation since the last
-        # take_dirty() — the delta an EvaluationStore persists.  Warmed
-        # keys are deliberately absent: they came *from* the store.
-        self._dirty_estimates = set()
-        self._dirty_partitions = set()
 
     def __len__(self) -> int:
         return len(self._estimates)
@@ -218,12 +206,10 @@ class EvaluationCache:
                 self._partitions[key] = (
                     None, _detached(exc), info.layer.name
                 )
-                self._dirty_partitions.add(key)
             raise
         with self._lock:
             self._part_misses += 1
             self._partitions[key] = (partition, None, info.layer.name)
-            self._dirty_partitions.add(key)
         return partition
 
     def estimate(
@@ -270,13 +256,11 @@ class EvaluationCache:
                 self._estimates[key] = (
                     None, _detached(exc), info.layer.name
                 )
-                self._dirty_estimates.add(key)
                 self._error_entries += 1
             raise
         with self._lock:
             self._misses += 1
             self._estimates[key] = (estimate, None, info.layer.name)
-            self._dirty_estimates.add(key)
         return estimate
 
     @property
@@ -295,64 +279,6 @@ class EvaluationCache:
         with self._lock:
             self._estimates.clear()
             self._partitions.clear()
-            self._dirty_estimates.clear()
-            self._dirty_partitions.clear()
             self._hits = self._misses = self._dedup_hits = 0
             self._part_hits = self._part_misses = 0
             self._error_entries = 0
-
-    # -- persistence / cross-process protocol ----------------------------
-
-    def warm(self, estimates: dict, partitions: dict) -> int:
-        """Pre-populate from store-loaded entries; returns entries added.
-
-        Present keys win (a computed entry is at least as fresh as a
-        persisted one) and nothing becomes dirty or counts as a hit —
-        warming is invisible to both the counters and the next flush.
-        """
-        added = 0
-        with self._lock:
-            for key, entry in estimates.items():
-                if key not in self._estimates:
-                    self._estimates[key] = entry
-                    if entry[1] is not None:
-                        self._error_entries += 1
-                    added += 1
-            for key, entry in partitions.items():
-                if key not in self._partitions:
-                    self._partitions[key] = entry
-                    added += 1
-        return added
-
-    def take_dirty(self) -> Tuple[dict, dict]:
-        """Entries computed since the last call (and un-dirty
-        them) — the delta an :class:`EvaluationStore` flush persists."""
-        with self._lock:
-            estimates = {
-                key: self._estimates[key]
-                for key in self._dirty_estimates
-                if key in self._estimates
-            }
-            partitions = {
-                key: self._partitions[key]
-                for key in self._dirty_partitions
-                if key in self._partitions
-            }
-            self._dirty_estimates.clear()
-            self._dirty_partitions.clear()
-        return estimates, partitions
-
-    def mark_dirty(self, estimate_keys, partition_keys) -> None:
-        """Re-flag present keys as dirty (store flush-failure rollback)."""
-        with self._lock:
-            self._dirty_estimates.update(
-                key for key in estimate_keys if key in self._estimates
-            )
-            self._dirty_partitions.update(
-                key for key in partition_keys if key in self._partitions
-            )
-
-    def snapshot_entries(self) -> Tuple[dict, dict]:
-        """Shallow copies of both memo levels."""
-        with self._lock:
-            return dict(self._estimates), dict(self._partitions)

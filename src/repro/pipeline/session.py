@@ -18,18 +18,12 @@ code path as the DSE-driven ones.
 
 Sessions may share an :class:`~repro.pipeline.cache.EvaluationCache`,
 which is how device sweeps and multi-objective studies avoid
-re-evaluating identical (layer, config) points.  A session may also be
-backed by an on-disk :class:`~repro.pipeline.store.EvaluationStore`
-(``store=`` path or store instance): the cache is warmed from the store
-at construction and the computed delta is flushed back by
-:meth:`PipelineSession.close` — use the session as a context manager to
-get both ends for free.
+re-evaluating identical (layer, config) points.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from pathlib import Path
 from typing import Dict, Optional, Union
 
 import numpy as np
@@ -45,7 +39,6 @@ from repro.fpga.device import FpgaDevice
 from repro.ir.graph import Network
 from repro.mapping.strategy import NetworkMapping
 from repro.pipeline.cache import CacheStats, EvaluationCache
-from repro.pipeline.store import EvaluationStore
 from repro.runtime.params import (
     ParameterSet,
     check_parameters,
@@ -83,10 +76,6 @@ class PipelineSession:
         Shared :class:`EvaluationCache`; a fresh one is created if
         omitted.  Pass one cache to several sessions to share layer
         estimates across scenarios.
-    store:
-        An :class:`EvaluationStore` or a cache-directory path.  The
-        cache is warmed from it immediately; :meth:`close` (or leaving
-        a ``with`` block) flushes the entries this session computed.
     """
 
     def __init__(
@@ -100,7 +89,6 @@ class PipelineSession:
         params: Optional[Mapping] = None,
         seed: int = 2020,
         cache: Optional[EvaluationCache] = None,
-        store: Optional[Union[EvaluationStore, str, Path]] = None,
     ):
         if isinstance(device, str):
             device = get_device(device)
@@ -118,11 +106,6 @@ class PipelineSession:
         #: map/estimate/DSE call (no per-call registry lookups).
         self.calibration = get_calibration(device.name)
         self.cache = cache if cache is not None else EvaluationCache()
-        if isinstance(store, (str, Path)):
-            store = EvaluationStore(store)
-        self.store = store
-        if store is not None:
-            store.warm(self.cache)
         self.compiler_options = compiler_options
         self.seed = seed
         if params is None:
@@ -281,9 +264,7 @@ class PipelineSession:
         design costs one DSE + one compilation, not N.  It gets fresh
         runtime / simulation slots because a
         :class:`~repro.runtime.host.HostRuntime` owns mutable DRAM
-        state that two shards must never share.  Clones are not
-        store-backed: the parent owns the flush, and the shared cache
-        already carries anything a clone computes.
+        state that two shards must never share.
 
         Artifacts not yet computed are *not* shared retroactively —
         call :meth:`compiled` before cloning when the shards should
@@ -307,25 +288,6 @@ class PipelineSession:
         twin._estimate = self._estimate
         twin._compiled = self._compiled
         return twin
-
-    # -- persistence -----------------------------------------------------
-
-    def close(self) -> int:
-        """Flush the cache's computed delta to the backing store.
-
-        Returns the number of entries persisted (0 without a store or
-        when everything came warm).  Idempotent: a second close flushes
-        only what was computed since the first.
-        """
-        if self.store is None:
-            return 0
-        return self.store.flush(self.cache)
-
-    def __enter__(self) -> "PipelineSession":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     # -- reporting -------------------------------------------------------
 

@@ -7,10 +7,8 @@
    pick for non-paper devices), a pinned
    :class:`~repro.pipeline.session.PipelineSession`, the analytical
    Eq. 12-15 latency (the pinned session's scalar estimate, memoized
-   through the shared
-   :class:`~repro.pipeline.cache.EvaluationCache` and any
-   :class:`~repro.pipeline.store.EvaluationStore` behind it) and the
-   simulated per-image probe the admissible bounds need;
+   through the shared :class:`~repro.pipeline.cache.EvaluationCache`)
+   and the simulated per-image probe the admissible bounds need;
 2. **Tier A** — the whole :class:`~repro.planning.grid.PlanGrid` goes
    through :class:`~repro.planning.scorer.AnalyticPlanScorer` in one
    vectorized call; pruned plans are out (provably infeasible), kept
@@ -33,7 +31,6 @@ import json
 import math
 import time
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.compiler import CompilerOptions
@@ -42,7 +39,6 @@ from repro.fpga import FpgaDevice, get_device
 from repro.ir.graph import Network
 from repro.pipeline.cache import EvaluationCache
 from repro.pipeline.session import PipelineSession, _load_network
-from repro.pipeline.store import EvaluationStore
 from repro.planning.grid import KindSpec, PlanGrid, parse_devices
 from repro.planning.replay import (
     PLAN_EXECUTORS,
@@ -112,7 +108,6 @@ class DeviceKind:
         weight: Optional[float],
         seed: int,
         cache: Optional[EvaluationCache] = None,
-        store: Optional[EvaluationStore] = None,
     ) -> "DeviceKind":
         """The picklable-payload constructor Tier B workers replay
         (network + resolved cfg round-trip through the payload; the
@@ -126,7 +121,6 @@ class DeviceKind:
             ),
             seed=seed,
             cache=cache,
-            store=store,
         )
         return cls(device.name, device, cfg, session, weight)
 
@@ -152,20 +146,17 @@ def resolve_kinds(
     specs: Sequence[KindSpec],
     seed: int = 2020,
     cache: Optional[EvaluationCache] = None,
-    store: Optional[Union[EvaluationStore, str, Path]] = None,
 ) -> List[DeviceKind]:
     """Specs to :class:`DeviceKind` rows, sharing one evaluation cache.
 
     Paper devices (``vu9p``, ``pynq-z1``) pin the Table-4 config; any
     other catalog device runs its DSE through the same cache.  Each
     cfg's analytical latency is the pinned session's estimate, memoized
-    through the cache so a store-backed run never recomputes it; a cfg
+    through the cache; a cfg
     that maps no feasible (mode, dataflow) for some layer raises
     :class:`~repro.errors.DseError`.
     """
     cache = cache if cache is not None else EvaluationCache()
-    if isinstance(store, (str, Path)):
-        store = EvaluationStore(store)
     from repro.experiments.common import paper_config
 
     kinds: List[DeviceKind] = []
@@ -178,8 +169,7 @@ def resolve_kinds(
                 network, device, cache=cache, seed=seed
             ).cfg
         kind = DeviceKind.build(
-            network, device, cfg, spec.weight, seed,
-            cache=cache, store=store,
+            network, device, cfg, spec.weight, seed, cache=cache
         )
         kind.analytical_latency_s = kind.session.estimate().latency
         kinds.append(kind)
@@ -498,7 +488,6 @@ def plan_capacity(
     devices: Union[str, Sequence[KindSpec]],
     options: PlanOptions,
     cache: Optional[EvaluationCache] = None,
-    store: Optional[Union[EvaluationStore, str, Path]] = None,
 ) -> ProvisioningPlan:
     """Plan a fleet for ``model`` over ``devices`` (spec string or
     :class:`KindSpec` rows) — the two-tier pipeline described in the
@@ -510,11 +499,7 @@ def plan_capacity(
     if not specs:
         raise PlanningError("the device spec names no kinds")
     cache = cache if cache is not None else EvaluationCache()
-    if isinstance(store, (str, Path)):
-        store = EvaluationStore(store)
-    kinds = resolve_kinds(
-        network, specs, seed=options.seed, cache=cache, store=store
-    )
+    kinds = resolve_kinds(network, specs, seed=options.seed, cache=cache)
 
     batch_options = options.batch_options
     if batch_options is None:
@@ -633,7 +618,7 @@ def plan_capacity(
         )
     )
 
-    report = ProvisioningPlan(
+    return ProvisioningPlan(
         kinds=kinds,
         grid=grid,
         profile=profile,
@@ -646,7 +631,3 @@ def plan_capacity(
         tier_a_seconds=tier_a_seconds,
         tier_b_seconds=tier_b_seconds,
     )
-    if store is not None:
-        for kind in kinds:
-            kind.session.close()
-    return report

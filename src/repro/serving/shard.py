@@ -10,9 +10,8 @@ timing probe (which is data-independent, so one simulation per shard —
 or one per *pool* of identical shards — suffices).
 
 A :class:`ShardPool` owns N shards that share one
-:class:`~repro.pipeline.cache.EvaluationCache` (and optionally one
-:class:`~repro.pipeline.store.EvaluationStore` behind the parent
-session):  :meth:`ShardPool.replicate` deploys N identical shards from
+:class:`~repro.pipeline.cache.EvaluationCache`:
+:meth:`ShardPool.replicate` deploys N identical shards from
 one session via :meth:`PipelineSession.clone`, paying a single DSE and
 compilation; :meth:`ShardPool.of` builds a heterogeneous pool from
 arbitrary sessions (different devices and/or different models).
@@ -220,7 +219,7 @@ class Shard:
 
 
 class ShardPool:
-    """N shards sharing one evaluation cache (and optional store)."""
+    """N shards sharing one evaluation cache."""
 
     def __init__(self, shards: Sequence[Shard]):
         if not shards:
@@ -307,14 +306,6 @@ class ShardPool:
     def reset(self) -> None:
         for shard in self.shards:
             shard.reset()
-
-    def close(self) -> int:
-        """Flush every store-backed session; returns entries persisted.
-
-        Clones created by :meth:`replicate` carry no store, so this
-        flushes each backing store exactly once (via the parent).
-        """
-        return sum(shard.session.close() for shard in self.shards)
 
     def describe(self) -> str:
         return "\n".join(shard.describe() for shard in self.shards)

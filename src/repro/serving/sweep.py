@@ -22,6 +22,7 @@ wall-clock fields, and the parent reassembles them in grid order — so
 from __future__ import annotations
 
 import json
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -108,9 +109,10 @@ class SweepOptions:
             raise ServingError(
                 f"requests must be >= 1, got {self.requests}"
             )
-        if self.load_factor <= 0:
+        if self.load_factor <= 0 or not math.isfinite(self.load_factor):
             raise ServingError(
-                f"load factor must be positive, got {self.load_factor}"
+                "load factor must be positive and finite, "
+                f"got {self.load_factor}"
             )
         if self.slo_p99_s is not None and self.slo_p99_s <= 0:
             raise ServingError(

@@ -801,5 +801,5 @@ def _check_count(count: int) -> None:
 
 
 def _check_qps(qps: float) -> None:
-    if qps <= 0:
-        raise ServingError(f"qps must be positive, got {qps}")
+    if qps <= 0 or not math.isfinite(qps):
+        raise ServingError(f"qps must be positive and finite, got {qps}")

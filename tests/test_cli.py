@@ -126,6 +126,15 @@ class TestCommands:
         assert "qps not given" in out
         assert "served 8 requests" in out
 
+    @pytest.mark.parametrize("qps", ["nan", "inf"])
+    def test_serve_non_finite_qps_is_error(self, qps, capsys):
+        rc = main([
+            "serve", "--model", "tiny_cnn", "--device", "pynq-z1",
+            "--traffic", "poisson", "--requests", "4", "--qps", qps,
+        ])
+        assert rc == 1
+        assert "positive and finite" in capsys.readouterr().err
+
     def test_serve_bad_policy_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", "--policy", "fifo"])
@@ -333,32 +342,6 @@ class TestCommands:
         )
         assert args.seed == 7
         assert args.name == "serving"
-
-    def test_cache_info_and_compact(self, tmp_path, capsys):
-        cache_dir = str(tmp_path / "memo")
-        for model in ("tiny_cnn", "tiny_mlp"):
-            assert main(["dse", "--model", model, "--device", "pynq-z1",
-                         "--cache-dir", cache_dir]) == 0
-        capsys.readouterr()
-        assert main(["cache", "info", cache_dir]) == 0
-        out = capsys.readouterr().out
-        assert "2 segment(s)" in out
-        assert "estimate" in out and "partition" in out
-        assert main(["cache", "compact", cache_dir]) == 0
-        out = capsys.readouterr().out
-        assert "merged 2 segments into 1" in out
-        # Idempotent: a second compact is a no-op.
-        assert main(["cache", "compact", cache_dir]) == 0
-        assert "nothing to compact" in capsys.readouterr().out
-        # The compacted store still warm-loads everything.
-        assert main(["cache", "info", cache_dir]) == 0
-        out = capsys.readouterr().out
-        assert "1 segment(s)" in out
-        assert "100.0% of stored entries useful" in out
-
-    def test_cache_info_empty_dir(self, tmp_path, capsys):
-        assert main(["cache", "info", str(tmp_path / "nowhere")]) == 0
-        assert "empty" in capsys.readouterr().out
 
     def test_model_from_json(self, tmp_path, capsys):
         from repro.ir import save_network, zoo

@@ -1,5 +1,7 @@
 """Tests for repro.serving — shards, scheduling, batching, metrics."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -98,6 +100,12 @@ class TestTraffic:
             make_requests("burst", 4, qps=1.0, burst=0)
         with pytest.raises(ServingError):
             Request(0, -1.0)
+
+    @pytest.mark.parametrize("model", ["fixed-qps", "poisson", "burst"])
+    @pytest.mark.parametrize("qps", [math.nan, math.inf])
+    def test_non_finite_qps_rejected(self, model, qps):
+        with pytest.raises(ServingError, match="positive and finite"):
+            make_requests(model, 4, qps=qps)
 
 
 # -- dynamic batcher -------------------------------------------------------

@@ -6,6 +6,7 @@ sweep artifact would depend on the runner's core count.
 """
 
 import json
+import math
 
 import pytest
 
@@ -98,6 +99,9 @@ class TestSweepOptions:
             SweepOptions(requests=0)
         with pytest.raises(ServingError):
             SweepOptions(load_factor=0.0)
+        for load_factor in (math.nan, math.inf):
+            with pytest.raises(ServingError, match="positive and finite"):
+                SweepOptions(load_factor=load_factor)
         with pytest.raises(ServingError):
             SweepOptions(slo_action="panic")
         with pytest.raises(ServingError):
