@@ -25,7 +25,7 @@ from pathlib import Path
 
 from repro.compiler import CompilerOptions
 from repro.dse.space import OBJECTIVES, DseOptions
-from repro.errors import ReproError
+from repro.errors import EncodingError, ReproError
 from repro.estimator import estimate_resources
 from repro.fpga import DEVICES, get_device
 from repro.hls import HlsConfig, emit_project
@@ -94,12 +94,20 @@ def _cmd_dse(args) -> int:
 
 def _cmd_compile(args) -> int:
     compiled = _session(args).compiled()
+    # Encode every segment before touching the output directory, so a
+    # segment that does not fit the ISA leaves no partial build behind.
+    images = []
+    for index, program in enumerate(compiled.programs()):
+        try:
+            images.append((program.to_bytes(), disassemble(program)))
+        except EncodingError as exc:
+            raise EncodingError(f"segment {index}: {exc}") from exc
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
-    for index, program in enumerate(compiled.programs()):
+    for index, (image, listing) in enumerate(images):
         stem = f"program{index}" if index else "program"
-        program.save(out / f"{stem}.bin")
-        (out / f"{stem}.asm").write_text(disassemble(program))
+        (out / f"{stem}.bin").write_bytes(image)
+        (out / f"{stem}.asm").write_text(listing)
     print(
         f"wrote {compiled.total_instructions} instructions across "
         f"{len(compiled.programs())} segment(s) to {out}"
@@ -250,11 +258,14 @@ def _cmd_serve(args) -> int:
         parse_scenario,
         parse_tenants,
     )
+    from repro.serving.traffic import _check_qps
 
     # Parse the cheap, error-prone options before paying for the
     # session: a bad spec should fail before DSE/compilation.  The
     # chaos grammar is a superset of the legacy kill/restore one, and
     # legacy specs compile to event-identical runs (the oracle tests).
+    if args.qps is not None:
+        _check_qps(args.qps)
     scenario = (
         parse_scenario(args.scenario, seed=args.seed)
         if args.scenario else None

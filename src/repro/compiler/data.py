@@ -11,7 +11,8 @@ DNN parameters to 8 bits, Table 4 footnote).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional, Tuple
+from functools import cached_property
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -65,13 +66,17 @@ class PackedWeights:
     def elems(self) -> int:
         return self.total_elems or int(self.image.size)
 
+    @cached_property
+    def _slot_index(self) -> Dict[Tuple[int, int], WeightGroupSlot]:
+        return {(slot.k0, slot.c0): slot for slot in self.slots}
+
     def slot(self, k0: int, c0: int) -> WeightGroupSlot:
-        for slot in self.slots:
-            if slot.k0 == k0 and slot.c0 == c0:
-                return slot
-        raise CompileError(
-            f"{self.layer_name}: no weight slot at k0={k0} c0={c0}"
-        )
+        slot = self._slot_index.get((k0, c0))
+        if slot is None:
+            raise CompileError(
+                f"{self.layer_name}: no weight slot at k0={k0} c0={c0}"
+            )
+        return slot
 
 
 def _scale_per_position(

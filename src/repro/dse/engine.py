@@ -27,16 +27,20 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.arch.params import AcceleratorConfig
 from repro.errors import DseError, ReproError
 from repro.estimator.calibration import CalibrationProfile, get_calibration
 from repro.estimator.latency import (
+    CandidateRates,
+    LayerWork,
     NetworkEstimate,
-    _module_times,
+    candidate_rates,
     estimate_layer,
     estimate_network,
+    layer_work,
+    module_times,
 )
 from repro.fpga.device import FpgaDevice
 from repro.fpga.resources import ResourceBudget
@@ -141,6 +145,29 @@ def _objective(estimate: NetworkEstimate, objective: str) -> float:
     raise DseError(f"unknown objective {objective!r}")
 
 
+def _network_work(network: Network) -> List[Tuple[LayerWork, bool]]:
+    """Per compute layer: its Eq. 6-11 work and whether Winograd
+    applies — everything the bound needs that no candidate changes."""
+    return [
+        (layer_work(info), winograd_supported(info))
+        for info in network.compute_layers()
+    ]
+
+
+def _latency_bound(
+    works: List[Tuple[LayerWork, bool]], rates: CandidateRates
+) -> float:
+    """Sum over layers of the cheapest supported mode's largest module
+    time (see :func:`latency_lower_bound`)."""
+    total = 0.0
+    for work, wino in works:
+        bound = max(module_times(work, rates, "spat"))
+        if wino:
+            bound = min(bound, max(module_times(work, rates, "wino")))
+        total += bound
+    return total
+
+
 def latency_lower_bound(
     cfg: AcceleratorConfig, device: FpgaDevice, network: Network
 ) -> float:
@@ -159,13 +186,9 @@ def latency_lower_bound(
     bandwidth terms (not just ``T_CP``) prunes memory-bound candidates
     that a compute-only bound would have to evaluate.
     """
-    total = 0.0
-    for info in network.compute_layers():
-        per_mode = [max(_module_times(cfg, device, info, "spat"))]
-        if winograd_supported(info):
-            per_mode.append(max(_module_times(cfg, device, info, "wino")))
-        total += min(per_mode)
-    return total
+    return _latency_bound(
+        _network_work(network), candidate_rates(cfg, device)
+    )
 
 
 def objective_lower_bound(
@@ -190,33 +213,19 @@ def _candidate_bounds(
 ) -> List[float]:
     """Objective lower bound per candidate.
 
-    The module times depend only on (PI, PO, PT, FREQ) plus — for the
-    Eq. 8-11 bandwidth terms — the data widths and the instance count
-    (instances share DRAM bandwidth), so the latency bound is memoized
-    on that projection: candidates differing only in buffer sizes share
-    one entry.
+    The layers' work is derived once per network and each candidate's
+    rates once per candidate, so a bound costs a few divisions per
+    layer and mode.
     """
     total_ops = sum(info.ops for info in network.compute_layers())
-    lb_memo: Dict[Tuple, float] = {}
-    bounds = []
-    for candidate in candidates:
-        cfg = candidate.cfg
-        key = (
-            cfg.pi, cfg.po, cfg.pt, cfg.frequency_mhz,
-            cfg.data_width, cfg.weight_width, cfg.instances,
+    works = _network_work(network)
+    return [
+        objective_lower_bound(
+            _latency_bound(works, candidate_rates(candidate.cfg, device)),
+            objective, total_ops, candidate.cfg.instances,
         )
-        lb_latency = lb_memo.get(key)
-        if lb_latency is None:
-            lb_latency = latency_lower_bound(cfg, device, network)
-            lb_memo[key] = lb_latency
-        bounds.append(
-            objective_lower_bound(
-                lb_latency, objective, total_ops, cfg.instances
-            )
-        )
-    return bounds
-
-
+        for candidate in candidates
+    ]
 
 
 def _ranked(

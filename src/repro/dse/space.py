@@ -148,11 +148,10 @@ def explore_hardware(
                 max_ni = per_die * device.dies
                 if options.max_instances is not None:
                     max_ni = min(max_ni, options.max_instances)
+                # One instance's budget does not depend on NI.
+                one = estimate_resources(base, device, cal, per_instance=True)
                 for ni in range(1, max_ni + 1):
                     cfg = replace(base, instances=ni)
-                    one = estimate_resources(
-                        cfg, device, cal, per_instance=True
-                    )
                     total = one * ni
                     if not total.fits_in(device.resources):
                         break

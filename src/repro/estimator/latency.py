@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List
+from typing import Dict, List, NamedTuple
 
 from repro.arch.params import AcceleratorConfig
 from repro.arch.pe import PIPELINE_DEPTH
@@ -92,8 +92,40 @@ class NetworkEstimate:
         return counts
 
 
-def _module_times(cfg, device, info, mode):
-    """T_CP, T_LDI, T_LDW, T_SV of Eq. 6-11 (whole layer, seconds)."""
+class LayerWork(NamedTuple):
+    """The candidate-independent numerators of Eq. 6-11 (exact ints).
+
+    Winograd terms omit their ``PT^2`` factor, which belongs to the
+    candidate: Eq. 7's numerator is ``wino_macs * PT^2`` and Eq. 9's is
+    ``wino_weights * PT^2``.
+    """
+
+    spat_macs: int  # K*C*R*S*H_out*W_out (Eq. 6)
+    wino_macs: int  # K*C*blocks*H_out*W_out (Eq. 7 / PT^2)
+    spat_weights: int  # K*C*R*S (Eq. 8)
+    wino_weights: int  # K*C*blocks (Eq. 9 / PT^2)
+    inputs: int  # C*H*W (Eq. 10)
+    outputs: int  # K*H_out*W_out (Eq. 11)
+
+
+class CandidateRates(NamedTuple):
+    """The layer-independent denominators of Eq. 6-11 (elements/s).
+
+    Each product is formed left to right as written in the equations,
+    so dividing a :class:`LayerWork` term by it rounds exactly as the
+    one-expression form does.
+    """
+
+    spat_comp: float  # FREQ*PI*PO*PT*PT
+    wino_comp: float  # FREQ*PI*PO*PT*PT*m*m
+    pt2: int  # PT*PT
+    weights: float  # min(BW_w, FREQ*PI*PO*PT)
+    inputs: float  # min(BW_f, FREQ*PI*PT)
+    outputs: float  # min(BW_f, FREQ*PO*PT)
+
+
+def layer_work(info: LayerInfo) -> LayerWork:
+    """One layer's Eq. 6-11 numerators; Dense runs as a 1x1 conv."""
     from repro.ir.layers import Dense
 
     layer = info.layer
@@ -107,27 +139,50 @@ def _module_times(cfg, device, info, mode):
         r, s = layer.kernel_size
         k = layer.out_channels
     out_h, out_w = info.output_shape.height, info.output_shape.width
+    blocks = (-(-r // 3)) * (-(-s // 3))
+    return LayerWork(
+        spat_macs=k * c * r * s * out_h * out_w,
+        wino_macs=k * c * blocks * out_h * out_w,
+        spat_weights=k * c * r * s,
+        wino_weights=k * c * blocks,
+        inputs=c * h * w,
+        outputs=k * out_h * out_w,
+    )
 
+
+def candidate_rates(cfg: AcceleratorConfig, device: FpgaDevice) -> CandidateRates:
+    """One candidate's Eq. 6-11 denominators (instances share DRAM)."""
     freq = cfg.frequency_hz
     bw_f = device.bandwidth_elems(cfg.data_width, cfg.instances)
     bw_w = device.bandwidth_elems(cfg.weight_width, cfg.instances)
     pi, po, pt, m = cfg.pi, cfg.po, cfg.pt, cfg.m
+    spat_comp = freq * pi * po * pt * pt
+    return CandidateRates(
+        spat_comp=spat_comp,
+        wino_comp=spat_comp * m * m,
+        pt2=pt * pt,
+        weights=min(bw_w, freq * pi * po * pt),
+        inputs=min(bw_f, freq * pi * pt),
+        outputs=min(bw_f, freq * po * pt),
+    )
 
+
+def module_times(work: LayerWork, rates: CandidateRates, mode: str):
+    """T_CP, T_LDI, T_LDW, T_SV of Eq. 6-11 (whole layer, seconds)."""
     if mode == "wino":
-        blocks = (-(-r // 3)) * (-(-s // 3))
-        t_comp = (k * c * blocks * pt * pt * out_h * out_w) / (
-            freq * pi * po * pt * pt * m * m
-        )  # Eq. 7
-        wgt_elems = k * c * blocks * pt * pt
+        t_comp = work.wino_macs * rates.pt2 / rates.wino_comp  # Eq. 7
+        t_ldw = work.wino_weights * rates.pt2 / rates.weights  # Eq. 9
     else:
-        t_comp = (k * c * r * s * out_h * out_w) / (
-            freq * pi * po * pt * pt
-        )  # Eq. 6
-        wgt_elems = k * c * r * s
-    t_ldw = wgt_elems / min(bw_w, freq * pi * po * pt)  # Eq. 8 / 9
-    t_ldi = (c * h * w) / min(bw_f, freq * pi * pt)  # Eq. 10
-    t_sv = (k * out_h * out_w) / min(bw_f, freq * po * pt)  # Eq. 11
+        t_comp = work.spat_macs / rates.spat_comp  # Eq. 6
+        t_ldw = work.spat_weights / rates.weights  # Eq. 8
+    t_ldi = work.inputs / rates.inputs  # Eq. 10
+    t_sv = work.outputs / rates.outputs  # Eq. 11
     return t_comp, t_ldi, t_ldw, t_sv
+
+
+def _module_times(cfg, device, info, mode):
+    """T_CP, T_LDI, T_LDW, T_SV of Eq. 6-11 for one (candidate, layer)."""
+    return module_times(layer_work(info), candidate_rates(cfg, device), mode)
 
 
 def estimate_layer(

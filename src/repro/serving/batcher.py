@@ -30,6 +30,7 @@ logic run on a private kernel).
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import (
@@ -86,9 +87,10 @@ class BatcherOptions:
             raise ServingError(
                 f"max_batch must be >= 1, got {self.max_batch}"
             )
-        if self.max_wait_s < 0:
+        if not (self.max_wait_s >= 0 and math.isfinite(self.max_wait_s)):
             raise ServingError(
-                f"max_wait_s must be >= 0, got {self.max_wait_s}"
+                "max_wait_s must be non-negative and finite, "
+                f"got {self.max_wait_s}"
             )
         if self.tenant_mode not in TENANT_MODES:
             raise ServingError(

@@ -32,6 +32,7 @@ attainment per scenario across seeded grids.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, FrozenSet, Optional
@@ -64,9 +65,10 @@ class SloOptions:
     tick_s: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.p99_target_s <= 0:
+        if not (self.p99_target_s > 0 and math.isfinite(self.p99_target_s)):
             raise ServingError(
-                f"p99 target must be positive, got {self.p99_target_s}"
+                "p99 target must be positive and finite, "
+                f"got {self.p99_target_s}"
             )
         if self.action not in SLO_ACTIONS:
             raise ServingError(
@@ -82,9 +84,11 @@ class SloOptions:
                 f"window ({self.window}) must hold at least min_samples "
                 f"({self.min_samples}) completions"
             )
-        if self.tick_s is not None and self.tick_s <= 0:
+        if self.tick_s is not None and not (
+            self.tick_s > 0 and math.isfinite(self.tick_s)
+        ):
             raise ServingError(
-                f"tick_s must be positive, got {self.tick_s}"
+                f"tick_s must be positive and finite, got {self.tick_s}"
             )
 
     @property

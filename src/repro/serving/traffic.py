@@ -719,9 +719,10 @@ class ClosedLoopClientPool(EventSource):
             raise ServingError(
                 f"total requests must be >= 0, got {requests}"
             )
-        if think_time_s < 0:
+        if not (think_time_s >= 0 and math.isfinite(think_time_s)):
             raise ServingError(
-                f"think time must be >= 0, got {think_time_s}"
+                "think time must be non-negative and finite, "
+                f"got {think_time_s}"
             )
         if distribution not in THINK_DISTRIBUTIONS:
             raise ServingError(

@@ -54,6 +54,15 @@ CTRL_ISSUE_CYCLES = 2
 #: GROUP_OVERHEAD_CYCLES together with the COMP pipeline depth).
 DDR_FIXED_CYCLES = 64
 
+#: DeptFlag bits as plain ints: the dispatch loop tests ``int & int``
+#: instead of building a DeptFlag for every test.
+_WAIT_INP = int(DeptFlag.WAIT_INP)
+_WAIT_WGT = int(DeptFlag.WAIT_WGT)
+_EMIT = int(DeptFlag.EMIT)
+_WAIT_FREE = int(DeptFlag.WAIT_FREE)
+_FREE_INP = int(DeptFlag.FREE_INP)
+_FREE_WGT = int(DeptFlag.FREE_WGT)
+
 
 @dataclass
 class ModuleStats:
@@ -328,22 +337,22 @@ class AcceleratorSimulator:
             opcode = inst.opcode
             mod = module_of[opcode]
             start = max(module_time[mod], idx * CTRL_ISSUE_CYCLES)
-            dept = inst.dept_flag
+            dept = int(inst.dept_flag)
 
             # -- token waits ---------------------------------------------
             if opcode in (Opcode.LOAD_INP, Opcode.LOAD_WGT):
                 fifo = "inp_free" if opcode == Opcode.LOAD_INP else "wgt_free"
-                if dept & DeptFlag.WAIT_FREE:
+                if dept & _WAIT_FREE:
                     start = max(start, fifos[fifo].pop())
             elif opcode == Opcode.COMP:
-                if dept & DeptFlag.WAIT_INP:
+                if dept & _WAIT_INP:
                     start = max(start, fifos["inp_data"].pop())
-                if dept & DeptFlag.WAIT_WGT:
+                if dept & _WAIT_WGT:
                     start = max(start, fifos["wgt_data"].pop())
-                if dept & DeptFlag.WAIT_FREE:
+                if dept & _WAIT_FREE:
                     start = max(start, fifos["out_free"].pop())
             elif opcode == Opcode.SAVE:
-                if dept & DeptFlag.WAIT_INP:
+                if dept & _WAIT_INP:
                     start = max(start, fifos["out_data"].pop())
 
             # -- duration ---------------------------------------------------
@@ -388,18 +397,18 @@ class AcceleratorSimulator:
                 )
 
             # -- token emission --------------------------------------------
-            if opcode == Opcode.LOAD_INP and dept & DeptFlag.EMIT:
+            if opcode == Opcode.LOAD_INP and dept & _EMIT:
                 fifos["inp_data"].push(finish)
-            elif opcode == Opcode.LOAD_WGT and dept & DeptFlag.EMIT:
+            elif opcode == Opcode.LOAD_WGT and dept & _EMIT:
                 fifos["wgt_data"].push(finish)
             elif opcode == Opcode.COMP:
-                if dept & DeptFlag.EMIT:
+                if dept & _EMIT:
                     fifos["out_data"].push(finish)
-                if dept & DeptFlag.FREE_INP:
+                if dept & _FREE_INP:
                     fifos["inp_free"].push(finish)
-                if dept & DeptFlag.FREE_WGT:
+                if dept & _FREE_WGT:
                     fifos["wgt_free"].push(finish)
-            elif opcode == Opcode.SAVE and dept & DeptFlag.FREE_INP:
+            elif opcode == Opcode.SAVE and dept & _FREE_INP:
                 fifos["out_free"].push(finish)
 
             # -- functional data movement ---------------------------------

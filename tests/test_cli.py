@@ -64,6 +64,29 @@ class TestCommands:
         program = Program.load(tmp_path / "program.bin")
         assert len(program) > 0
 
+    def test_compile_overflow_leaves_no_partial_build(self, tmp_path, capsys):
+        """A segment whose LOAD overflows the 12-bit ``size_chan`` field
+        fails the command before any file is written."""
+        from repro.ir import NetworkBuilder, save_network
+
+        network = (
+            NetworkBuilder("overflow", input_shape=(8, 8, 8))
+            .conv2d(8, kernel_size=3, padding=1, name="conv")
+            .flatten(name="flat")
+            .dense(64, name="fc")
+            .build()
+        )
+        model = tmp_path / "overflow.json"
+        save_network(network, model)
+        out = tmp_path / "build"
+        rc = main([
+            "compile", "--model", str(model), "--device", "pynq-z1",
+            "-o", str(out),
+        ])
+        assert rc == 1
+        assert "segment 1: LOAD.size_chan" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_simulate(self, capsys):
         rc = main(["simulate", "--model", "tiny_cnn",
                    "--device", "pynq-z1"])
@@ -134,6 +157,39 @@ class TestCommands:
         ])
         assert rc == 1
         assert "positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("qps", ["nan", "inf", "0"])
+    def test_serve_bad_qps_fails_before_session(
+        self, qps, capsys, monkeypatch
+    ):
+        import repro.cli
+
+        def unreachable(args):
+            raise AssertionError("session built before --qps was checked")
+
+        monkeypatch.setattr(repro.cli, "_serve_session", unreachable)
+        rc = main([
+            "serve", "--model", "tiny_cnn", "--device", "pynq-z1",
+            "--traffic", "poisson", "--requests", "4", "--qps", qps,
+        ])
+        assert rc == 1
+        assert "qps must be positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["--slo-p99", "nan"],
+        ["--slo-p99", "inf"],
+        ["--max-wait-ms", "nan"],
+        ["--max-wait-ms", "inf"],
+        ["--closed-loop", "2", "--think-time", "nan"],
+        ["--closed-loop", "2", "--think-time", "inf"],
+    ])
+    def test_serve_non_finite_options_are_errors(self, flags, capsys):
+        rc = main([
+            "serve", "--model", "tiny_cnn", "--device", "pynq-z1",
+            "--requests", "4", *flags,
+        ])
+        assert rc == 1
+        assert "finite" in capsys.readouterr().err
 
     def test_serve_bad_policy_rejected(self):
         with pytest.raises(SystemExit):

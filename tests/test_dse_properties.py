@@ -5,11 +5,20 @@ exactly like the exhaustive reference."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dse import exhaustive_dse, explore_hardware, run_dse
+from repro.dse import (
+    exhaustive_dse,
+    explore_hardware,
+    objective_lower_bound,
+    run_dse,
+)
+from repro.dse.engine import _candidate_bounds
 from repro.dse.space import DseOptions
 from repro.errors import DseError
+from repro.estimator.latency import _module_times, layer_work
 from repro.fpga import DEVICES, get_device
 from repro.ir import zoo
+from repro.ir.layers import Dense
+from repro.mapping.strategy import MODES, winograd_supported
 
 
 def _ranking(result):
@@ -129,3 +138,88 @@ def test_ranking_equals_exhaustive_reference(
         result.candidates_evaluated + result.candidates_pruned
         <= result.candidates_considered
     )
+
+
+#: Networks whose Eq. 6-11 work exceeds 2^53, so a float64 (or any
+#: fixed-width) shortcut on the work terms would round them.
+_HUGE_BUILDS = (
+    lambda: zoo.single_conv(131071, 131069, 1001, 3, padding=1),
+    lambda: zoo.tiny_mlp(in_features=2**27 + 1, hidden=2**27 - 1),
+)
+_HUGE_NETWORKS = st.sampled_from(_HUGE_BUILDS).map(lambda build: build())
+
+
+def _eq_6_11(cfg, device, info, mode):
+    """Eq. 6-11 written out as one expression per module time."""
+    layer = info.layer
+    if isinstance(layer, Dense):
+        c, h, w = info.input_shape.size, 1, 1
+        r = s = 1
+        k = layer.out_features
+    else:
+        c = info.input_shape.channels
+        h, w = info.input_shape.height, info.input_shape.width
+        r, s = layer.kernel_size
+        k = layer.out_channels
+    out_h, out_w = info.output_shape.height, info.output_shape.width
+    freq = cfg.frequency_hz
+    bw_f = device.bandwidth_elems(cfg.data_width, cfg.instances)
+    bw_w = device.bandwidth_elems(cfg.weight_width, cfg.instances)
+    pi, po, pt, m = cfg.pi, cfg.po, cfg.pt, cfg.m
+    if mode == "wino":
+        blocks = (-(-r // 3)) * (-(-s // 3))
+        t_comp = (k * c * blocks * pt * pt * out_h * out_w) / (
+            freq * pi * po * pt * pt * m * m
+        )
+        wgt_elems = k * c * blocks * pt * pt
+    else:
+        t_comp = (k * c * r * s * out_h * out_w) / (freq * pi * po * pt * pt)
+        wgt_elems = k * c * r * s
+    t_ldw = wgt_elems / min(bw_w, freq * pi * po * pt)
+    t_ldi = (c * h * w) / min(bw_f, freq * pi * pt)
+    t_sv = (k * out_h * out_w) / min(bw_f, freq * po * pt)
+    return t_comp, t_ldi, t_ldw, t_sv
+
+
+def test_huge_networks_exceed_float_exact_range():
+    for build in _HUGE_BUILDS:
+        work = layer_work(build().compute_layers()[0])
+        assert work.spat_macs > 2**53
+        assert int(float(work.spat_macs)) != work.spat_macs
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    device_name=st.sampled_from(sorted(DEVICES)),
+    network=st.one_of(_NETWORKS, _HUGE_NETWORKS),
+    objective=st.sampled_from(["throughput", "latency"]),
+    max_instances=st.one_of(st.none(), st.integers(1, 4)),
+)
+def test_bound_is_sum_of_cheapest_mode_module_times(
+    device_name, network, objective, max_instances
+):
+    """Every candidate's bound is exactly the sum over layers of the
+    cheapest supported mode's largest Eq. 6-11 module time, and each
+    module time is exactly the one-expression Eq. 6-11 value."""
+    device = get_device(device_name)
+    candidates = explore_hardware(
+        device, DseOptions(max_instances=max_instances)
+    )
+    bounds = _candidate_bounds(candidates, device, network, objective)
+    layers = network.compute_layers()
+    total_ops = sum(info.ops for info in layers)
+    for candidate, bound in zip(candidates, bounds):
+        cfg = candidate.cfg
+        latency = 0.0
+        for info in layers:
+            per_mode = []
+            for mode in MODES:
+                if mode == "wino" and not winograd_supported(info):
+                    continue
+                times = _module_times(cfg, device, info, mode)
+                assert times == _eq_6_11(cfg, device, info, mode)
+                per_mode.append(max(times))
+            latency += min(per_mode)
+        assert bound == objective_lower_bound(
+            latency, objective, total_ops, cfg.instances
+        )

@@ -164,6 +164,11 @@ class TestDynamicBatcher:
         with pytest.raises(ServingError):
             BatcherOptions(max_wait_s=-0.1)
 
+    @pytest.mark.parametrize("wait", [math.nan, math.inf])
+    def test_non_finite_max_wait_rejected(self, wait):
+        with pytest.raises(ServingError, match="non-negative and finite"):
+            BatcherOptions(max_wait_s=wait)
+
 
 # -- shards and pools ------------------------------------------------------
 

@@ -530,6 +530,11 @@ class TestClosedLoopClientPool:
             ClosedLoopClientPool(clients=1, requests=4,
                                  distribution="uniform")
 
+    @pytest.mark.parametrize("think", [float("nan"), float("inf")])
+    def test_non_finite_think_time_rejected(self, think):
+        with pytest.raises(ServingError, match="non-negative and finite"):
+            ClosedLoopClientPool(clients=1, requests=4, think_time_s=think)
+
     def test_serves_exactly_the_request_budget(self):
         pool = ShardPool.replicate(make_session(instances=2), 2)
         source = ClosedLoopClientPool(clients=3, requests=17,

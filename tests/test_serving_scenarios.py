@@ -260,6 +260,13 @@ class TestSloOptions:
             SloOptions(p99_target_s=0.1, min_samples=0)
         with pytest.raises(ServingError):
             SloOptions(p99_target_s=0.1, tick_s=0.0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_values_rejected(self, value):
+        with pytest.raises(ServingError, match="positive and finite"):
+            SloOptions(p99_target_s=value)
+        with pytest.raises(ServingError, match="positive and finite"):
+            SloOptions(p99_target_s=0.1, tick_s=value)
         assert SloOptions(p99_target_s=0.1).effective_tick_s == 0.05
         assert SloOptions(p99_target_s=0.1, tick_s=0.02
                           ).effective_tick_s == 0.02
