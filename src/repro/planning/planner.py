@@ -253,9 +253,12 @@ class PlanOptions:
                 f"unknown policy {self.policy!r}; "
                 f"expected one of {POLICIES}"
             )
-        if self.max_wait_s is not None and self.max_wait_s < 0:
+        if self.max_wait_s is not None and not (
+            self.max_wait_s >= 0 and math.isfinite(self.max_wait_s)
+        ):
             raise PlanningError(
-                f"max_wait_s must be >= 0, got {self.max_wait_s}"
+                "max_wait_s must be non-negative and finite, "
+                f"got {self.max_wait_s}"
             )
         if self.event_budget is not None and self.event_budget < 1:
             raise PlanningError(

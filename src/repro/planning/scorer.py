@@ -221,9 +221,10 @@ class AnalyticPlanScorer:
                 f"SLO target must be positive and finite, "
                 f"got {slo_p99_s}"
             )
-        if max_wait_s < 0:
+        if not (max_wait_s >= 0 and math.isfinite(max_wait_s)):
             raise PlanningError(
-                f"max_wait_s must be >= 0, got {max_wait_s}"
+                "max_wait_s must be non-negative and finite, "
+                f"got {max_wait_s}"
             )
 
         used = counts > 0

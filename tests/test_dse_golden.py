@@ -18,7 +18,6 @@ import pytest
 
 from repro.dse.engine import _candidate_bounds
 from repro.dse.space import OBJECTIVES, DseOptions, explore_hardware
-from repro.estimator.resources import estimate_resources
 from repro.fpga import DEVICES, get_device
 from repro.ir import zoo
 
@@ -148,17 +147,6 @@ def case_bounds(model, device_name):
 def test_candidates_match_golden_digest(device_name):
     candidates = explore_hardware(get_device(device_name), DseOptions())
     assert candidates_digest(candidates) == GOLDEN_CANDIDATES[device_name]
-
-
-@pytest.mark.parametrize("device_name", sorted(DEVICES))
-def test_candidate_budgets_match_direct_estimates(device_name):
-    device = get_device(device_name)
-    for candidate in explore_hardware(device, DseOptions()):
-        cfg = candidate.cfg
-        assert candidate.per_instance == estimate_resources(
-            cfg, device, per_instance=True
-        )
-        assert candidate.total == estimate_resources(cfg, device)
 
 
 @pytest.mark.parametrize("device_name", sorted(DEVICES))

@@ -230,6 +230,12 @@ def test_score_rejects_bad_shapes():
         scorer.score(
             np.array([[1, 0]]), np.array([1]), profile, slo_p99_s=0.0
         )
+    for wait in (math.nan, math.inf):
+        with pytest.raises(PlanningError, match="non-negative and finite"):
+            scorer.score(
+                np.array([[1, 0]]), np.array([1]), profile, slo_p99_s=1.0,
+                max_wait_s=wait,
+            )
 
 
 # -- plan options ---------------------------------------------------------
@@ -257,6 +263,8 @@ def test_plan_options_requires_exactly_one_workload():
         dict(slo_p99_s=1e-3, trace="t.csv", trace_scale=0.0),
         dict(slo_p99_s=1e-3, trace="t.csv", trace_loop=0),
         dict(slo_p99_s=1e-3, rate=1.0, event_budget=0),
+        dict(slo_p99_s=1e-3, rate=1.0, max_wait_s=math.nan),
+        dict(slo_p99_s=1e-3, rate=1.0, max_wait_s=math.inf),
     ],
 )
 def test_plan_options_validation(kwargs):
